@@ -1,14 +1,19 @@
 """Integer matrix normal forms over arbitrary-precision ints.
 
-Row-style Hermite normal form with its unimodular transformation, Smith
-normal form, and the kernel / left-kernel lattices derived from them.  No
-floating point and no modular arithmetic anywhere; matrices are lists of
-lists of Python ints.
+Row-style Hermite normal form, Smith normal form, and the kernel /
+left-kernel lattices.  Matrices are lists of lists of Python ints and there
+is no floating point anywhere.  No public routine carries the unimodular
+transform U of U*M = H, whose entries grow without bound under Euclidean
+elimination: kernels come from a rational null space saturated modulo its
+common denominator (Cohen, *A Course in Computational Algebraic Number
+Theory*, 2.4; Domich, Kannan and Trotter 1987), the one place that uses
+modular arithmetic.  `hnf_row` keeps the U-certified elimination as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def _copy(m):
@@ -96,32 +101,174 @@ def hnf_row(m):
     return h, u
 
 
+def _echelon(m):
+    """Nonzero rows of a row echelon form of M with positive pivots.
+
+    Entries above the pivots are left unreduced.  Each column is cleared by
+    Euclidean steps that always divide by the live row of smallest |entry|;
+    the transform is not kept.
+    """
+    pool = [list(row) for row in m]
+    cols = len(pool[0]) if pool else 0
+    out = []
+    for c in range(cols):
+        live = [row for row in pool if row[c]]
+        if not live:
+            continue
+        pool = [row for row in pool if not row[c]]
+        head = [0] * c
+        while True:
+            p = min(live, key=lambda row: abs(row[c]))
+            pv = p[c]
+            tail = p[c:]
+            rest = []
+            for row in live:
+                if row is not p:
+                    q = row[c] // pv
+                    row = head + [x - q * y for x, y in zip(row[c:], tail)]
+                    (rest if row[c] else pool).append(row)
+            if not rest:
+                break
+            rest.append(p)
+            live = rest
+        out.append(p if pv > 0 else [-x for x in p])
+        if not pool:
+            break
+    return out
+
+
 def hnf(m):
-    return hnf_row(m)[0]
+    """Row Hermite normal form of M, computed without the transform.
+
+    Pivots are positive, entries above a pivot are reduced into [0, pivot),
+    zero rows are collected at the bottom.
+    """
+    h = _echelon(m)
+    for r, prow in enumerate(h):
+        c = next(j for j, x in enumerate(prow) if x)
+        tail = prow[c:]
+        for i in range(r):
+            q = h[i][c] // prow[c]
+            if q:
+                h[i] = h[i][:c] + [x - q * y for x, y in zip(h[i][c:], tail)]
+    cols = len(m[0]) if m else 0
+    return h + [[0] * cols for _ in range(len(m) - len(h))]
 
 
 def rank(m):
-    h = hnf(m)
-    return sum(1 for row in h if any(row))
-
-
-def left_kernel(m):
-    """Basis (list of rows) of {x in Z^rows : x*M = 0}, HNF-canonical.
-
-    The left kernel of an integer matrix is a saturated sublattice, so this
-    basis is automatically primitive.
-    """
-    h, u = hnf_row(m)
-    ker = [u[i] for i in range(len(h)) if not any(h[i])]
-    if not ker:
-        return []
-    canon = [row for row in hnf(ker) if any(row)]
-    return canon
+    return len(_echelon(m))
 
 
 def kernel(m):
-    """Basis of {x in Z^cols : M*x = 0} as a list of row vectors."""
-    return left_kernel(transpose(m))
+    """Basis of {x in Z^cols : M*x = 0} as a list of rows, HNF-canonical.
+
+    Rational null space plus saturation, without a transform:
+      1. take a row echelon form of M with its column order reversed; row
+         operations keep the null space, and the columns this echelon form
+         leaves free are exactly the pivot columns of the kernel's own HNF;
+      2. back-substitute on those rows to get the rational basis C = N/d of
+         the null space with an identity block on the free columns, which
+         is the kernel's reduced row echelon form;
+      3. saturate: the integer kernel is Lambda*C with
+         Lambda = {y in Z^k : y*N = 0 mod d}, a lattice containing d*Z^k,
+         built one pivot column at a time with every entry reduced mod d;
+      4. the HNF of Lambda mapped through C is the HNF of the kernel.
+    """
+    cols = len(m[0]) if m else 0
+    # steps 1 and 2 index the columns in reversed order
+    h = _echelon([row[::-1] for row in m])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    taken = set(pivots)
+    free = [j for j in range(cols - 1, -1, -1) if j not in taken]
+    if not free:
+        return []
+    steps = [(p, row[p], [(j, row[j]) for j in range(p + 1, cols) if row[j]])
+             for p, row in zip(reversed(pivots), reversed(h))]
+    # back-substitution, one free column at a time, as an integer numerator
+    # over a denominator that grows only when a pivot fails to divide
+    nums, dens = [], []
+    for f in free:
+        x = [0] * cols
+        x[f] = den = 1
+        for p, pv, tail in steps:
+            s = sum(v * x[j] for j, v in tail)
+            if s % pv:
+                g = pv // gcd(s, pv)
+                x = [t * g for t in x]
+                den *= g
+                s *= g
+            x[p] = -s // pv
+        g = gcd(*x)
+        nums.append([t // g for t in reversed(x)])
+        dens.append(den // g)
+    d = lcm(*dens)
+    if d == 1:
+        return nums
+    num = [[t * (d // den) for t in x] for x, den in zip(nums, dens)]
+    lam = _saturate([[x[cols - 1 - p] for p in pivots] for x in num], d)
+    return [[t // d for t in row] for row in mat_mul(lam, num)]
+
+
+def _saturate(a, d):
+    """Row HNF of Lambda = {y in Z^k : y*A = 0 mod d}, A the k-row matrix a.
+
+    Rows are generators of a lattice taken together with d*Z^k, so every
+    entry is kept mod d.  Rows [y | y*A] start from the unit vectors y; each
+    column of A is cleared by Euclidean steps and one rescaled row.  Then an
+    echelon pass over the y columns, adding d*e_c at column c, yields a
+    triangular basis, reduced above its pivots.
+    """
+    k = len(a)
+    rows = [[int(i == j) for j in range(k)] + [t % d for t in a[i]] for i in range(k)]
+    for j in range(k, len(rows[0])):
+        live = [row for row in rows if row[j]]
+        if live:
+            rows = [row for row in rows if not row[j]]
+            p, cleared = _clear_mod(live, j, d)
+            scale = d // gcd(p[j], d)
+            rows += cleared + [[y * scale % d for y in p]]
+    rows = [row[:k] for row in rows]
+    basis = []
+    for c in range(k):
+        live = [row for row in rows if row[c]]
+        live.append([0] * c + [d] + [0] * (k - c - 1))
+        rows = [row for row in rows if not row[c]]
+        p, cleared = _clear_mod(live, c, d)
+        basis.append(p)
+        rows += cleared
+    for c in range(k):
+        for i in range(c):
+            q = basis[i][c] // basis[c][c]
+            if q:
+                basis[i] = [y - q * t for y, t in zip(basis[i], basis[c])]
+    return basis
+
+
+def _clear_mod(live, j, d):
+    """Euclidean steps mod d on rows nonzero in column j, entries in [0, d).
+
+    Returns the one row left nonzero there and the rows now zero there.
+    """
+    cleared = []
+    while True:
+        p = min(live, key=lambda row: row[j])
+        rest = []
+        for row in live:
+            if row is not p:
+                q = row[j] // p[j]
+                row = [(y - q * t) % d for y, t in zip(row, p)]
+                (rest if row[j] else cleared).append(row)
+        if not rest:
+            return p, cleared
+        rest.append(p)
+        live = rest
+
+
+def left_kernel(m):
+    """Basis of {x in Z^rows : x*M = 0}, HNF-canonical: `kernel` of M^T."""
+    if m and not m[0]:
+        return identity(len(m))
+    return kernel(transpose(m))
 
 
 def smith_normal_form(m):
@@ -152,7 +299,6 @@ def smith_normal_form(m):
             changed = False
             for i in range(t + 1, rows):
                 while a[i][t] != 0:
-                    q = a[t][t] // a[i][t] if abs(a[i][t]) <= abs(a[t][t]) else 0
                     if abs(a[i][t]) < abs(a[t][t]) or a[t][t] == 0:
                         a[t], a[i] = a[i], a[t]
                         changed = True
@@ -197,52 +343,13 @@ def smith_normal_form(m):
 
 def lattices_equal(a, b) -> bool:
     """Whether two row-span lattices in Z^n coincide."""
-    ha = [row for row in hnf(a)] if a else []
-    hb = [row for row in hnf(b)] if b else []
-    ha = [row for row in ha if any(row)]
-    hb = [row for row in hb if any(row)]
-    return ha == hb
+    return [row for row in hnf(a) if any(row)] == [row for row in hnf(b) if any(row)]
 
 
 def in_lattice(vec, basis) -> bool:
-    """Whether an integer vector lies in the row-span lattice of basis."""
-    if not basis:
-        return not any(vec)
-    # solve x * basis = vec over Q, then check integrality
-    rows = len(basis)
-    cols = len(basis[0])
-    aug = [[Fraction(basis[i][j]) for i in range(rows)] for j in range(cols)]
-    rhs = [Fraction(v) for v in vec]
-    # gaussian elimination on the cols x rows system
-    x = [Fraction(0)] * rows
-    pivots = []
-    r = 0
-    for c in range(rows):
-        piv = None
-        for i in range(r, cols):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(cols):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, cols):
-        if rhs[i] != 0:
-            return False
-    for idx, c in enumerate(pivots):
-        x[c] = rhs[idx]
-    for v in x:
-        if v.denominator != 1:
-            return False
-    return True
+    """Whether an integer vector lies in the row-span lattice of basis.
+
+    The generators may be dependent: vec is a member exactly when adding it
+    leaves the Hermite normal form unchanged.
+    """
+    return lattices_equal(basis, [*basis, vec])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import intlinalg as il
 from . import linprog
 from .errors import InputError, SizeCapError
 from .graphs import DecoratedDualGraph, validate_graph
@@ -162,7 +163,7 @@ def cone_sigma(graph: DecoratedDualGraph) -> ConeDescription:
                     rays.add(_primitive(vec))
 
     ray_list = sorted(rays)
-    dim = _rank_of_rows(ray_list)
+    dim = il.rank(ray_list) if ray_list else 0
     return ConeDescription(dim, tuple(ray_list), True)
 
 
@@ -214,14 +215,6 @@ def _primitive(vec):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
-
-
-def _rank_of_rows(rows):
-    if not rows:
-        return 0
-    from . import intlinalg as il
-
-    return il.rank([list(r) for r in rows])
 
 
 def feasible_by_fourier_motzkin(graph: DecoratedDualGraph) -> bool:

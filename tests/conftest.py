@@ -299,6 +299,24 @@ def random_balanced_graph(rng: random.Random, max_vertices=5, N_max=3, cyclic=Fa
             b = rng.randrange(nv)
             if a != b:
                 edges.append((a, b))
+    return _balanced_graph(rng, N, strata, edges)
+
+
+def random_cycle_rich_graph(rng: random.Random, nv, N=4):
+    """A random spanning tree on nv vertices plus nv // 2 chords, strata
+    {1..depth} with depth uniform in 0..N, balanced as above."""
+    strata = [frozenset(range(1, rng.randint(0, N) + 1)) for _ in range(nv)]
+    edges = [(idx, rng.randrange(idx)) for idx in range(1, nv)]
+    while len(edges) < nv - 1 + nv // 2:
+        a, b = rng.randrange(nv), rng.randrange(nv)
+        if a != b:
+            edges.append((a, b))
+    return _balanced_graph(rng, N, strata, edges)
+
+
+def _balanced_graph(rng, N, strata, edges):
+    """Draw edge contacts and legs, then set vertex pairings to balance."""
+    nv = len(strata)
     edge_objs = []
     contacts = {}
     for eidx, (a, b) in enumerate(edges):

@@ -83,6 +83,8 @@ def test_left_kernel_matches_transpose_kernel():
         lk = il.left_kernel(m)
         tk = il.kernel(il.transpose(m))
         assert il.lattices_equal([list(r) for r in lk], [list(r) for r in tk] or [])
+    # a map from Z^0 is zero, so every functional kills it
+    assert il.left_kernel([[], []]) == [[1, 0], [0, 1]]
 
 
 def test_snf_invariant_factors_divide():
@@ -106,3 +108,7 @@ def test_lattice_membership():
     assert not il.in_lattice([1, 0], basis)
     assert il.in_lattice([0, 0], [])
     assert not il.in_lattice([1], [])
+    # dependent generators: [2] and [3] span all of Z
+    assert il.in_lattice([1], [[2], [3]])
+    assert il.in_lattice([1, 1], [[2, 2], [3, 3], [0, 4]])
+    assert not il.in_lattice([1, 0], [[2, 2], [3, 3], [0, 4]])

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import (
     good_ex2,
     mc_issue,
     random_balanced_graph,
+    random_cycle_rich_graph,
     two_line_ghost,
     zero_class_graph,
 )
@@ -41,6 +43,28 @@ def test_classical_graph_rho_is_trivial():
     assert rho.n_rows == 0
     assert rho.kernel_rank == len(g.edges)
     assert rho.kernel_basis() == ((1, 0), (0, 1))
+
+
+def test_cycle_rich_group_data_at_scale():
+    """nv = 20, N = 4 and nv // 2 chords give an 86 x 74 map.  Its character
+    lattice did not finish when the normal forms carried the unimodular
+    transform; without it the whole group computation takes milliseconds."""
+    rho = lm.build_rho(random_cycle_rich_graph(random.Random(12), 20))
+    assert (rho.n_rows, rho.n_cols) == (86, 74)
+    start = time.perf_counter()
+    rank = rho.rank
+    ker = rho.kernel_basis()
+    chars = rho.character_basis().rows
+    factors = rho.invariant_factors()
+    assert time.perf_counter() - start < 2.0
+    assert rank == len(factors)
+    assert len(ker) == rho.n_cols - rank
+    assert len(chars) == rho.n_rows - rank
+    m = rho.matrix
+    for k in ker:
+        assert not any(il.mat_vec(m, k))
+    for chi in chars:
+        assert not any(il.mat_vec(il.transpose(m), chi))
 
 
 def test_mc_issue_kernel_generator():
