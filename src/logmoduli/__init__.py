@@ -33,6 +33,7 @@ from .lattice import (
     cokernel_characters,
     kernel_lattice,
     multinode_character_pullback,
+    node_index,
 )
 from .obstruction import (
     Characters,

@@ -17,8 +17,8 @@ from . import schema
 from .dimension import dimension_report
 from .errors import LogModuliError, StructuralError
 from .graphs import validate_graph, solve_decorations
-from .lattice import build_rho, build_rho_multinode
-from .obstruction import compute_ob, compute_ob_multinode
+from .lattice import build_rho
+from .obstruction import compute_ob
 from .positivity import classify_pair
 from .qi import qi_str
 from .rt import MapModel, rt_reduce, verify_edge_invariant
@@ -34,8 +34,8 @@ def _load(path):
         return schema.loads(fh.read())
 
 
-def run_validate(path, args):
-    graph, _, _, _, _ = _load(path)
+def run_validate(path, doc, args):
+    graph, _, _, _, _ = doc
     report = validate_graph(graph, multinode_allowed=args.multinode)
     payload = {
         "command": "validate",
@@ -49,8 +49,8 @@ def run_validate(path, args):
     return payload, EXIT_OK if report.valid else EXIT_VIOLATION
 
 
-def run_decorate(path, args):
-    graph, _, _, _, _ = _load(path)
+def run_decorate(path, doc, args):
+    graph, _, _, _, _ = doc
     sol = solve_decorations(graph, bound=args.bound)
     payload = {
         "command": "decorate",
@@ -65,8 +65,8 @@ def run_decorate(path, args):
     return payload, EXIT_OK if sol.status != "none" else EXIT_VIOLATION
 
 
-def run_tropical(path, args):
-    graph, _, _, _, _ = _load(path)
+def run_tropical(path, doc, args):
+    graph, _, _, _, _ = doc
     res = tropical_feasible(graph)
     payload = {"command": "tropical", "input": path, "feasible": res.feasible}
     if res.witness is not None:
@@ -86,9 +86,9 @@ def run_tropical(path, args):
     return payload, EXIT_OK
 
 
-def run_group(path, args):
-    graph, _, _, _, _ = _load(path)
-    lmap = build_rho_multinode(graph) if graph.has_multinode else build_rho(graph)
+def run_group(path, doc, args):
+    graph, _, _, _, _ = doc
+    lmap = build_rho(graph)
     chars = lmap.character_basis()
     payload = {
         "command": "group",
@@ -104,8 +104,8 @@ def run_group(path, args):
     return payload, EXIT_OK
 
 
-def run_ob(path, args):
-    graph, data, _, characters, _ = _load(path)
+def run_ob(path, doc, args):
+    graph, data, _, characters, _ = doc
     if args.characters:
         with open(args.characters, "r", encoding="utf-8") as fh:
             try:
@@ -115,23 +115,8 @@ def run_ob(path, args):
         rows = raw.get("characters") if isinstance(raw, dict) else raw
         if not rows:
             raise StructuralError("characters file carries no characters")
-        index = []
-        for e in graph.edges:
-            if e.is_multinode:
-                index.extend((e.id, j, i) for j in range(len(e.ends))
-                             for i in sorted(e.stratum))
-            else:
-                index.extend((e.id, i) for i in sorted(e.stratum))
-        for row in rows:
-            if len(row) != len(index):
-                raise StructuralError(
-                    f"character row length {len(row)} != node coordinate count {len(index)}"
-                )
-        from .obstruction import Characters
-
-        characters = Characters(rows, index)
-    fn = compute_ob_multinode if graph.has_multinode else compute_ob
-    ob = fn(graph, data, characters)
+        characters = schema.characters_on(graph, rows)
+    ob = compute_ob(graph, data, characters)
     payload = {
         "command": "ob",
         "input": path,
@@ -145,8 +130,8 @@ def run_ob(path, args):
     return payload, code
 
 
-def run_dims(path, args):
-    graph, _, _, _, expect = _load(path)
+def run_dims(path, doc, args):
+    graph, _, _, _, expect = doc
     cover = (expect or {}).get("cover")
     rep = dimension_report(graph, cover)
     payload = {
@@ -165,8 +150,8 @@ def run_dims(path, args):
     return payload, EXIT_OK
 
 
-def run_positivity(path, args):
-    _, _, profile, _, _ = _load(path)
+def run_positivity(path, doc, args):
+    _, _, profile, _, _ = doc
     if profile is None:
         raise StructuralError("document carries no positivity profile")
     cls = classify_pair(profile)
@@ -188,8 +173,8 @@ def run_positivity(path, args):
     return payload, EXIT_OK
 
 
-def run_rt(path, args):
-    graph, _, _, _, _ = _load(path)
+def run_rt(path, doc, args):
+    graph, _, _, _, _ = doc
     trace = rt_reduce(MapModel(graph))
     ok, failures = verify_edge_invariant(trace)
     payload = {
@@ -217,29 +202,29 @@ def run_rt(path, args):
     return payload, EXIT_OK if ok else EXIT_VIOLATION
 
 
-def run_report(path, args):
-    graph, data, profile, characters, expect = _load(path)
+def run_report(path, doc, args):
+    graph, _, profile, _, _ = doc
     payload = {"command": "report", "input": path, "parts": {}}
     code = EXIT_OK
-    part, c = run_validate(path, args)
+    part, c = run_validate(path, doc, args)
     payload["parts"]["validate"] = part
     code = max(code, c)
     if part["valid"]:
-        part, c = run_group(path, args)
+        part, c = run_group(path, doc, args)
         payload["parts"]["group"] = part
         if not graph.has_multinode:
-            part, c = run_tropical(path, args)
+            part, c = run_tropical(path, doc, args)
             payload["parts"]["tropical"] = part
-            part, c = run_dims(path, args)
+            part, c = run_dims(path, doc, args)
             payload["parts"]["dims"] = part
         try:
-            part, c2 = run_ob(path, args)
+            part, c2 = run_ob(path, doc, args)
             payload["parts"]["ob"] = part
             code = max(code, c2)
         except LogModuliError:
             pass
     if profile is not None:
-        part, c = run_positivity(path, args)
+        part, c = run_positivity(path, doc, args)
         payload["parts"]["positivity"] = part
     return payload, code
 
@@ -287,10 +272,8 @@ def main(argv=None) -> int:
 
     def one(path):
         try:
-            return runner(path, args)
-        except (StructuralError, FileNotFoundError, OSError) as exc:
-            return {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
-        except LogModuliError as exc:
+            return runner(path, _load(path), args)
+        except (LogModuliError, OSError) as exc:
             return {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
 
     if args.jobs > 1 and len(args.inputs) > 1:

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .errors import InputError, LogModuliError
 from .graphs import DecoratedDualGraph
-from .lattice import build_rho, build_rho_multinode
+from .lattice import build_rho
 
 
 def expected_dim_log(c1_log: int, n: int, g: int, k: int, real: bool = False) -> int:
@@ -21,14 +21,19 @@ def expected_dim_log(c1_log: int, n: int, g: int, k: int, real: bool = False) ->
     return 2 * d if real else d
 
 
-def _edge_ledger(graph: DecoratedDualGraph):
-    """Per-stratum (branch point count, node count); multi-nodes count once."""
+def node_ledger(nodes):
+    """Per-stratum (branch point count, node count) from (stratum, branch
+    count) pairs, one pair per node; multi-nodes count once."""
     ledger = {}
-    for e in graph.edges:
-        key = frozenset(e.stratum)
-        arrows, nodes = ledger.get(key, (0, 0))
-        ledger[key] = (arrows + len(e.ends), nodes + 1)
+    for stratum, arrows in nodes:
+        key = frozenset(stratum)
+        a, m = ledger.get(key, (0, 0))
+        ledger[key] = (a + arrows, m + 1)
     return ledger
+
+
+def _edge_ledger(graph: DecoratedDualGraph):
+    return node_ledger((e.stratum, len(e.ends)) for e in graph.edges)
 
 
 def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
@@ -41,7 +46,11 @@ def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
     """
     if graph.has_multinode:
         raise InputError("stratum_dim expects a graph without multi-nodes")
-    lmap = build_rho(graph)
+    d = _stratum_dim(graph, build_rho(graph))
+    return 2 * d if real else d
+
+
+def _stratum_dim(graph: DecoratedDualGraph, lmap) -> int:
     n = graph.n
     g = graph.total_genus()
     k = graph.k()
@@ -65,7 +74,7 @@ def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
         raise LogModuliError(
             f"internal inconsistency: stratum dimension routes disagree ({route1} vs {route2})"
         )
-    return 2 * route1 if real else route1
+    return route1
 
 
 def plog_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
@@ -87,7 +96,7 @@ def gamma_stratum_dim(reduced_graph: DecoratedDualGraph, fiber_dims, full_graph:
     """Expected dimension of a non-simple locus: pre-log dimension of the
     reduced graph, plus the reduction fiber dimensions, minus the torus
     dimension of the full graph."""
-    lmap = (build_rho_multinode if full_graph.has_multinode else build_rho)(full_graph)
+    lmap = build_rho(full_graph)
     d = plog_dim(reduced_graph) + sum(fiber_dims) - lmap.cokernel_rank
     return 2 * d if real else d
 
@@ -133,22 +142,28 @@ def cover_fiber_dim(d: int, marked: int, prescribed_total: Optional[int] = None)
     return 2 * d - 2 + marked - prescribed_total
 
 
-def q_quantity(graph: DecoratedDualGraph) -> int:
+def tracking_quantity(c1_total: int, k: int, strata_total: int, ledger) -> int:
     """The tracking quantity: Chern terms + marks + multi-node corrections.
 
-    For a graph without multi-nodes the correction 2|E| - |branch points|
-    vanishes and the stratified term reduces to the node strata sum.
+    Each ledger entry (stratum I: a branch points, m nodes) adds the
+    correction 2m - a and the stratified term (|I| - 1)(a - m); for a graph
+    without multi-nodes the correction vanishes and the stratified term
+    reduces to the node strata sum.
     """
-    ledger = _edge_ledger(graph)
-    arrows = sum(a for a, _ in ledger.values())
-    nodes = sum(m for _, m in ledger.values())
-    q = sum(v.c1_log for v in graph.vertices)
-    q += graph.k()
-    q += 2 * nodes - arrows
-    q -= sum(len(v.stratum) for v in graph.vertices)
+    q = c1_total + k - strata_total
     for key, (a, m) in ledger.items():
-        q += (len(key) - 1) * (a - m)
+        q += 2 * m - a + (len(key) - 1) * (a - m)
     return q
+
+
+def q_quantity(graph: DecoratedDualGraph) -> int:
+    """The tracking quantity of a (possibly multi-node) decorated graph."""
+    return tracking_quantity(
+        sum(v.c1_log for v in graph.vertices),
+        graph.k(),
+        sum(len(v.stratum) for v in graph.vertices),
+        _edge_ledger(graph),
+    )
 
 
 def q_upper_bound(graph: DecoratedDualGraph) -> int:
@@ -183,12 +198,8 @@ class DimensionReport:
 def dimension_report(graph: DecoratedDualGraph, cover: Optional[dict] = None) -> DimensionReport:
     c1 = sum(v.c1_log for v in graph.vertices)
     d_log = expected_dim_log(c1, graph.n, graph.total_genus(), graph.k())
-    if graph.has_multinode:
-        lmap = build_rho_multinode(graph)
-        d_str = None
-    else:
-        lmap = build_rho(graph)
-        d_str = stratum_dim(graph)
+    lmap = build_rho(graph)
+    d_str = None if graph.has_multinode else _stratum_dim(graph, lmap)
     mc = None
     if cover:
         mc = mc_fiber_dims(

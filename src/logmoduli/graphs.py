@@ -151,9 +151,7 @@ class DecoratedDualGraph:
         return any(e.is_multinode for e in self.edges)
 
     def first_betti(self) -> int:
-        comps = self.components()
-        half_edge_pairs = sum(len(e.ends) - 1 for e in self.edges)
-        return half_edge_pairs - len(self.vertices) + len(comps)
+        return first_betti_number((v.id for v in self.vertices), (e.ends for e in self.edges))
 
     def total_genus(self) -> int:
         return sum(v.genus for v in self.vertices) + self.first_betti()
@@ -201,6 +199,33 @@ class DecoratedDualGraph:
 
     def with_edges(self, edges):
         return DecoratedDualGraph(self.N, self.n, self.vertices, edges, self.legs)
+
+
+def first_betti_number(vertex_ids, node_ends) -> int:
+    """First Betti number of a graph whose nodes join the given vertices.
+
+    Each node is the sequence of vertex ids at its branches; a node with b
+    branches contributes b - 1 half-edge pairs, so multi-nodes count as
+    trees of ordinary edges.  Ids that name no vertex join nothing; graph
+    validation reports them.
+    """
+    ids = list(vertex_ids)
+    parent = {vid: vid for vid in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    half_pairs = 0
+    for ends in node_ends:
+        half_pairs += len(ends) - 1
+        known = [vid for vid in ends if vid in parent]
+        for other in known[1:]:
+            parent[find(other)] = find(known[0])
+    comps = len({find(v) for v in parent})
+    return half_pairs - len(ids) + comps
 
 
 @dataclass(frozen=True)
@@ -342,6 +367,13 @@ def validate_graph(graph: DecoratedDualGraph, multinode_allowed: bool = False) -
                 )
 
     return ValidationReport(tuple(sorted(bad, key=lambda x: (x.code, x.element, x.message))))
+
+
+def require_valid(graph: DecoratedDualGraph, multinode_allowed: bool = False) -> None:
+    """Raise InputError listing every violation unless the graph is valid."""
+    report = validate_graph(graph, multinode_allowed=multinode_allowed)
+    if not report.valid:
+        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
 
 
 # -- decoration solving ------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import intlinalg as il
 from .errors import InputError, StructuralError
-from .graphs import DecoratedDualGraph, validate_graph
+from .graphs import DecoratedDualGraph, require_valid
 
 
 @dataclass(frozen=True)
@@ -110,74 +110,42 @@ def _domain_index(graph: DecoratedDualGraph):
     return idx
 
 
+def node_index(graph: DecoratedDualGraph) -> tuple:
+    """Coordinates that character rows act on: (edge id, i) for an ordinary
+    node and (edge id, branch, i) for a multi-node, ordered by edge id, then
+    branch, then stratum coordinate."""
+    index = []
+    for e in graph.edges:
+        if e.is_multinode:
+            index.extend((e.id, j, i) for j in range(len(e.ends)) for i in sorted(e.stratum))
+        else:
+            index.extend((e.id, i) for i in sorted(e.stratum))
+    return tuple(index)
+
+
 def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
     """The map from (edge scalings, vertex slopes) to per-node order vectors.
 
     The column of an edge scaling carries that edge's contact vector; the
     column of a vertex slope coordinate carries +1 into the blocks of edges
     leaving the vertex and -1 into those arriving, and 0 on loops.
+
+    A multi-node block is the sum of its branch lattices modulo the diagonal
+    copy of the node's stratum, realized by the splitting x_j - x_last; each
+    branch keeps its own scaling parameter (it was a full edge before
+    collapsing), so collapse preserves kernel and cokernel ranks.  A 2-branch
+    multi-node therefore carries one more scaling than the ordinary-edge
+    encoding of the same node; the cokernel and character lattice agree
+    between the two encodings, the kernel differs by the pure gauge along the
+    duplicated scaling.
     """
-    report = validate_graph(graph)
-    if not report.valid:
-        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
-    if any(e.contact is None for e in graph.edges):
-        raise InputError("all edges must carry contact vectors")
-
-    t_index = []
-    for e in graph.edges:
-        t_index.extend((e.id, i) for i in sorted(e.stratum))
-    t_pos = {key: k for k, key in enumerate(t_index)}
-    d_index = _domain_index(graph)
-
-    matrix = [[0] * len(d_index) for _ in t_index]
-    for col, key in enumerate(d_index):
-        if key[0] == "edge":
-            e = graph.edge(key[1])
-            for i in sorted(e.stratum):
-                matrix[t_pos[(e.id, i)]][col] = e.contact[i - 1]
-        else:
-            _, vid, i = key
-            for e, idx in graph.edges_at(vid):
-                if e.ends[0] == e.ends[1]:
-                    continue  # loops contribute nothing
-                if i not in e.stratum:
-                    continue
-                sign = 1 if idx == 0 else -1
-                matrix[t_pos[(e.id, i)]][col] += sign
-    return LatticeMap(matrix, d_index, t_index, graph)
-
-
-def kernel_lattice(lmap: LatticeMap):
-    return lmap.kernel_basis()
-
-
-def cokernel_characters(lmap: LatticeMap) -> CharacterBasis:
-    return lmap.character_basis()
-
-
-def build_rho_multinode(graph: DecoratedDualGraph) -> LatticeMap:
-    """Variant for graphs with multi-nodes: each multi-node block is the sum
-    of its branch lattices modulo the diagonal copy of the node's stratum.
-
-    Branch blocks are realized by the splitting x_j - x_last; each branch
-    keeps its own scaling parameter (it was a full edge before collapsing),
-    so collapse preserves kernel and cokernel ranks.  A 2-branch multi-node
-    therefore carries one more scaling than the ordinary-edge encoding of the
-    same node; the cokernel and character lattice agree between the two
-    encodings, the kernel differs by the pure gauge along the duplicated
-    scaling.
-    """
-    report = validate_graph(graph, multinode_allowed=True)
-    if not report.valid:
-        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
-
+    require_valid(graph, multinode_allowed=True)
     for e in graph.edges:
         if e.is_multinode:
             if e.contacts is None:
                 raise InputError(f"multi-node {e.id!r} lacks branch contact vectors")
-            for idx, vid in enumerate(e.ends):
-                v = graph.vertex(vid)
-                if not (e.stratum >= v.stratum):
+            for vid in e.ends:
+                if not (e.stratum >= graph.vertex(vid).stratum):
                     raise StructuralError(
                         f"multi-node {e.id!r}: branch vertex stratum exceeds I_m"
                     )
@@ -223,40 +191,40 @@ def build_rho_multinode(graph: DecoratedDualGraph) -> LatticeMap:
         else:
             _, vid, i = key
             for e, idx in graph.edges_at(vid):
+                if i not in e.stratum:
+                    continue
                 if e.is_multinode:
-                    if i in e.stratum:
-                        sgn = 1 if e.branch_into(idx) else -1
-                        add_branch(e, idx, i, col, sgn)
-                else:
-                    if e.ends[0] == e.ends[1]:
-                        continue
-                    if i in e.stratum:
-                        matrix[t_pos[(e.id, i)]][col] += 1 if idx == 0 else -1
+                    add_branch(e, idx, i, col, 1 if e.branch_into(idx) else -1)
+                elif e.ends[0] != e.ends[1]:  # loops contribute nothing
+                    matrix[t_pos[(e.id, i)]][col] += 1 if idx == 0 else -1
     return LatticeMap(matrix, d_index, t_index, graph)
 
 
-def multinode_character_pullback(lmap: LatticeMap):
-    """Characters of the multi-node map expressed on per-branch coordinates.
+build_rho_multinode = build_rho
 
-    Returns (rows, index) where index lists (edge_id, branch, i) for
-    multi-node blocks and (edge_id, i) for regular blocks; each row kills the
+
+def kernel_lattice(lmap: LatticeMap):
+    return lmap.kernel_basis()
+
+
+def cokernel_characters(lmap: LatticeMap) -> CharacterBasis:
+    return lmap.character_basis()
+
+
+def multinode_character_pullback(lmap: LatticeMap):
+    """Characters of the map expressed on per-branch coordinates.
+
+    Returns (rows, index) with index = node_index(graph); each row kills the
     diagonal of every multi-node, so it evaluates well-definedly on
     obstruction data.  This realizes the natural isomorphism of character
-    lattices between a graph and its ghost collapse.
+    lattices between a graph and its ghost collapse; on a graph without
+    multi-nodes it returns the character basis unchanged.
     """
     graph = lmap.graph
-    full_index = []
-    for e in graph.edges:
-        if e.is_multinode:
-            full_index.extend(
-                (e.id, j, i) for j in range(len(e.ends)) for i in sorted(e.stratum)
-            )
-        else:
-            full_index.extend((e.id, i) for i in sorted(e.stratum))
+    full_index = node_index(graph)
     pos = {key: k for k, key in enumerate(full_index)}
-    basis = lmap.character_basis()
     rows = []
-    for row in basis.rows:
+    for row in lmap.character_basis().rows:
         out = [0] * len(full_index)
         for coef, key in zip(row, lmap.codomain_index):
             if coef == 0:
@@ -269,4 +237,4 @@ def multinode_character_pullback(lmap: LatticeMap):
             else:
                 out[pos[key]] += coef
         rows.append(tuple(out))
-    return tuple(rows), tuple(full_index)
+    return tuple(rows), full_index

@@ -51,16 +51,23 @@ def solve_eq_nonneg(a, b) -> Feasibility:
         obj[n + i] -= 1
 
     def pivot(row, col):
-        piv = tab[row][col]
-        tab[row] = [x / piv for x in tab[row]]
+        # zero entries of the pivot row leave every other row unchanged, so
+        # only its nonzero columns are scaled and subtracted
+        prow = tab[row]
+        piv = prow[col]
+        nonzero = [j for j, x in enumerate(prow) if x != 0]
+        for j in nonzero:
+            prow[j] /= piv
         for r in range(m):
-            if r != row and tab[r][col] != 0:
-                f = tab[r][col]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[row])]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(n + m + 1):
-                obj[j] -= f * tab[row][j]
+            f = tab[r][col]
+            if r != row and f != 0:
+                target = tab[r]
+                for j in nonzero:
+                    target[j] -= f * prow[j]
+        f = obj[col]
+        if f != 0:
+            for j in nonzero:
+                obj[j] -= f * prow[j]
         basis[row] = col
 
     while True:

@@ -12,12 +12,12 @@ identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from .errors import InputError, MissingEtaError, StructuralError
-from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, validate_graph
-from .lattice import build_rho, build_rho_multinode, multinode_character_pullback
+from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, require_valid
+from .lattice import build_rho, multinode_character_pullback
 from .qi import QI_ONE, GaussianRational
 from .sections import P1Point, RationalSection, build_section, leading_coefficient
 
@@ -138,7 +138,7 @@ def _synthesize_sections(graph, data, v) -> Dict[int, RationalSection]:
 
     Valid for genus-zero components, where the divisor determines the section
     up to scale and character values do not see the scale.  Cached on the
-    CurveData object.
+    CurveData object it is given.
     """
     cached = data.sections.get(v.id)
     if cached:
@@ -169,13 +169,8 @@ def _synthesize_sections(graph, data, v) -> Dict[int, RationalSection]:
 
 
 def canonical_characters(graph: DecoratedDualGraph) -> Characters:
-    if graph.has_multinode:
-        lmap = build_rho_multinode(graph)
-        rows, index = multinode_character_pullback(lmap)
-        return Characters(rows, index)
-    lmap = build_rho(graph)
-    basis = lmap.character_basis()
-    return Characters(basis.rows, basis.t_index)
+    rows, index = multinode_character_pullback(build_rho(graph))
+    return Characters(rows, index)
 
 
 def compute_ob(
@@ -187,37 +182,15 @@ def compute_ob(
 
     Raw entry for edge e, coordinate i is eta at ends[0] over eta at ends[1],
     computed in the local coordinate z - p (or 1/z at infinity with the
-    bundle transition applied).
+    bundle transition applied).  A multi-node block contributes the class of
+    the branch leading coefficients modulo the diagonal, each branch raised
+    to +1 or -1 per its recorded reference orientation so the collapse
+    identity holds exactly; characters must kill each multi-node diagonal
+    (the canonical ones do).  The caller's data is left untouched: sections
+    synthesized on the way are cached in a copy local to the call.
     """
-    report = validate_graph(graph)
-    if not report.valid:
-        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
-    raw = {}
-    for e in graph.edges:
-        for i in sorted(e.stratum):
-            top = _eta_at_end(graph, data, e, 0, i)
-            bot = _eta_at_end(graph, data, e, 1, i)
-            raw[(e.id, i)] = top / bot
-    chars = characters or canonical_characters(graph)
-    return ObstructionClass(raw, chars, chars.evaluate(raw))
-
-
-def compute_ob_multinode(
-    graph: DecoratedDualGraph,
-    data: CurveData,
-    characters: Optional[Characters] = None,
-) -> ObstructionClass:
-    """Obstruction class of a reduced graph with multi-nodes.
-
-    Regular edges contribute ratios; a multi-node block contributes the class
-    of the branch leading coefficients modulo the diagonal, each branch
-    raised to +1 or -1 per its recorded reference orientation so the collapse
-    identity holds exactly.  Characters must kill each multi-node diagonal
-    (the canonical ones do).
-    """
-    report = validate_graph(graph, multinode_allowed=True)
-    if not report.valid:
-        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
+    require_valid(graph, multinode_allowed=True)
+    data = replace(data, sections=dict(data.sections))
     raw = {}
     for e in graph.edges:
         if not e.is_multinode:
@@ -233,6 +206,9 @@ def compute_ob_multinode(
     chars = characters or canonical_characters(graph)
     _require_diagonal_killing(graph, chars)
     return ObstructionClass(raw, chars, chars.evaluate(raw))
+
+
+compute_ob_multinode = compute_ob
 
 
 def _require_diagonal_killing(graph, chars: Characters):
@@ -447,7 +423,7 @@ def relation_check(
     """
     collapsed, cdata, config, norm_graph, norm_data = collapse_ghost(graph, data, ghost_id)
     chars_bar = characters or canonical_characters(collapsed)
-    ob_bar = compute_ob_multinode(collapsed, cdata, chars_bar)
+    ob_bar = compute_ob(collapsed, cdata, chars_bar)
     o = compute_o_v0(config, node_id="m")
     ftofo_vals = o.ftofo_values(chars_bar)
     lemma_vals = o.lemma_values(chars_bar)
@@ -555,6 +531,7 @@ def collapse_homomorphism(graph: DecoratedDualGraph, tree_ids) -> CollapseHomomo
     ]
     collapsed = DecoratedDualGraph(graph.N, graph.n, new_vertices, new_edges, new_legs)
 
+    require_valid(graph)
     rho_exp = build_rho(graph)
     rho_col = build_rho(collapsed)
     exp_chars = rho_exp.character_basis()

@@ -148,8 +148,11 @@ def qi_parse(s: str) -> GaussianRational:
     m = _FULL.match(text)
     if m is None:
         raise StructuralError(f"cannot parse Gaussian rational from {s!r}")
-    if m.group(1) is not None:
-        return GaussianRational(Fraction(m.group(1)))
-    if m.group(4) is not None:
-        return GaussianRational(0, Fraction(m.group(4)))
-    return GaussianRational(Fraction(m.group(2)), Fraction(m.group(3)))
+    try:
+        if m.group(1) is not None:
+            return GaussianRational(Fraction(m.group(1)))
+        if m.group(4) is not None:
+            return GaussianRational(0, Fraction(m.group(4)))
+        return GaussianRational(Fraction(m.group(2)), Fraction(m.group(3)))
+    except ZeroDivisionError:
+        raise StructuralError(f"zero denominator in Gaussian rational {s!r}") from None

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from .dimension import ghost_collapse_delta
+from .dimension import ghost_collapse_delta, node_ledger, tracking_quantity
 from .errors import InputError
-from .graphs import GHOST, PRINCIPAL, DecoratedDualGraph, validate_graph
+from .graphs import GHOST, PRINCIPAL, DecoratedDualGraph, first_betti_number, validate_graph
 
 
 @dataclass
@@ -73,47 +73,24 @@ class RTGraph:
     def k(self) -> int:
         return len(self.legs)
 
-    def edge_count(self) -> int:
-        return len(self.nodes)
-
-    def arrow_count(self) -> int:
-        return sum(node.arrows for node in self.nodes.values())
-
     def ledger(self):
-        out = {}
-        for node in self.nodes.values():
-            a, m = out.get(node.stratum, (0, 0))
-            out[node.stratum] = (a + node.arrows, m + 1)
-        return out
+        return node_ledger((node.stratum, node.arrows) for node in self.nodes.values())
 
     def first_betti(self) -> int:
-        parent = {vid: vid for vid in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for node in self.nodes.values():
-            ids = [b[0] for b in node.branches]
-            for other in ids[1:]:
-                parent[find(other)] = find(ids[0])
-        comps = len({find(v) for v in self.vertices})
-        half_pairs = sum(node.arrows - 1 for node in self.nodes.values())
-        return half_pairs - len(self.vertices) + comps
+        return first_betti_number(
+            self.vertices, ([b[0] for b in node.branches] for node in self.nodes.values())
+        )
 
     def total_genus(self) -> int:
         return sum(v.genus for v in self.vertices.values()) + self.first_betti()
 
     def q_value(self) -> int:
-        q = sum(v.c1_log for v in self.vertices.values())
-        q += self.k()
-        q += 2 * self.edge_count() - self.arrow_count()
-        q -= sum(len(v.stratum) for v in self.vertices.values())
-        for stratum, (a, m) in self.ledger().items():
-            q += (len(stratum) - 1) * (a - m)
-        return q
+        return tracking_quantity(
+            sum(v.c1_log for v in self.vertices.values()),
+            self.k(),
+            sum(len(v.stratum) for v in self.vertices.values()),
+            self.ledger(),
+        )
 
     def clone(self) -> "RTGraph":
         return RTGraph(

@@ -12,6 +12,7 @@ from typing import Optional
 
 from .errors import StructuralError
 from .graphs import DecoratedDualGraph, Edge, Leg, Vertex
+from .lattice import node_index
 from .obstruction import Characters, CurveData
 from .positivity import CurveFamily, GeometryProfile
 from .qi import qi_parse, qi_str
@@ -26,6 +27,21 @@ def _req(obj, key, where):
     return obj[key]
 
 
+def _int(obj, key, where):
+    value = _req(obj, key, where)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+
+
+def _list(obj, key, where):
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise StructuralError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
+    return value
+
+
 def parse_document(doc: dict):
     """Parse a graph document into (graph, data, profile, characters, expect)."""
     if not isinstance(doc, dict):
@@ -33,11 +49,11 @@ def parse_document(doc: dict):
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema_version {version!r}")
-    N = int(_req(doc, "N", "document"))
-    n = int(_req(doc, "n", "document"))
+    N = _int(doc, "N", "document")
+    n = _int(doc, "n", "document")
 
     vertices = []
-    for item in doc.get("vertices", []):
+    for item in _list(doc, "vertices", "document"):
         vertices.append(
             Vertex(
                 id=str(_req(item, "id", "vertex")),
@@ -56,7 +72,7 @@ def parse_document(doc: dict):
     edges = []
     positions = {}
     eta = {}
-    for item in doc.get("edges", []):
+    for item in _list(doc, "edges", "document"):
         eid = str(_req(item, "id", "edge"))
         ends = tuple(str(x) for x in _req(item, "ends", f"edge {eid}"))
         contact = item.get("contact")
@@ -83,7 +99,7 @@ def parse_document(doc: dict):
 
     legs = []
     leg_positions = {}
-    for item in doc.get("legs", []):
+    for item in _list(doc, "legs", "document"):
         lid = str(_req(item, "id", "leg"))
         legs.append(
             Leg(
@@ -120,21 +136,20 @@ def parse_document(doc: dict):
 
     characters = None
     if doc.get("characters"):
-        index = []
-        for e in graph.edges:
-            if e.is_multinode:
-                index.extend((e.id, j, i) for j in range(len(e.ends)) for i in sorted(e.stratum))
-            else:
-                index.extend((e.id, i) for i in sorted(e.stratum))
-        rows = doc["characters"]
-        for row in rows:
-            if len(row) != len(index):
-                raise StructuralError(
-                    f"character row length {len(row)} != node coordinate count {len(index)}"
-                )
-        characters = Characters(rows, index)
+        characters = characters_on(graph, doc["characters"])
 
     return graph, data, profile, characters, doc.get("expect")
+
+
+def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
+    """Character rows on the graph's node coordinates, lengths checked."""
+    index = node_index(graph)
+    for row in rows:
+        if len(row) != len(index):
+            raise StructuralError(
+                f"character row length {len(row)} != node coordinate count {len(index)}"
+            )
+    return Characters(rows, index)
 
 
 def parse_profile(payload: dict) -> GeometryProfile:

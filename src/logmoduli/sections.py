@@ -193,8 +193,3 @@ def order_vector(
             out.append(t)
     return tuple(out)
 
-
-def section_from_orders(degree: int, orders: Sequence[Tuple[P1Point, int]], scale=QI_ONE) -> RationalSection:
-    """Convenience: build a section from special points, pushing the slack to
-    infinity when no explicit infinity order is given."""
-    return build_section(degree, orders, scale)

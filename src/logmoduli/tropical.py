@@ -16,7 +16,7 @@ from typing import Optional
 from . import intlinalg as il
 from . import linprog
 from .errors import InputError, SizeCapError
-from .graphs import DecoratedDualGraph, validate_graph
+from .graphs import DecoratedDualGraph, require_valid
 from .lattice import build_rho
 
 _CONE_VARIABLE_CAP = 20
@@ -87,9 +87,7 @@ def _equations(graph: DecoratedDualGraph, vars_):
 
 def tropical_feasible(graph: DecoratedDualGraph) -> TropicalResult:
     """Decide the tropical condition by exact rational feasibility."""
-    report = validate_graph(graph)
-    if not report.valid:
-        raise InputError("graph fails validation: " + "; ".join(str(v) for v in report.violations))
+    require_valid(graph)
     if any(e.contact is None for e in graph.edges):
         raise InputError("all edges must carry contact vectors")
 
@@ -131,6 +129,7 @@ def cone_sigma(graph: DecoratedDualGraph) -> ConeDescription:
     coordinates.  Rays are found by intersecting the kernel with facets of
     the orthant, which is exhaustive at this scale.
     """
+    require_valid(graph)
     lmap = build_rho(graph)
     n = lmap.n_cols
     if n > _CONE_VARIABLE_CAP:

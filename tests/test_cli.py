@@ -1,9 +1,14 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
-from logmoduli import schema
+import pytest
+
+from logmoduli import cli, schema
 
 FIXTURES = os.environ.get(
     "LOGMODULI_FIXTURES",
@@ -164,3 +169,83 @@ def test_schema_roundtrip_fixed_point():
         graph, data, profile, characters, expect = schema.loads(text)
         doc = schema.serialize_document(graph, data, characters=characters, expect=expect)
         assert schema.dumps(doc) == text
+
+
+# -- malformed input: exit 2 with a JSON payload, never a traceback -----------
+
+
+def _run_malformed(tmp_path, mutate):
+    with open(fixture("two_line_ghost.json")) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("report", str(path))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    return json.loads(proc.stdout)["error"]
+
+
+def test_zero_denominator_is_an_input_error(tmp_path):
+    def mutate(doc):
+        doc["edges"][0]["positions"] = {"0": "1/0"}
+
+    assert "'1/0'" in _run_malformed(tmp_path, mutate)
+
+
+@pytest.mark.parametrize("field", ["N", "n"])
+def test_non_integer_rank_field_is_named(tmp_path, field):
+    error = _run_malformed(tmp_path, lambda doc: doc.update({field: "x"}))
+    assert f"field {field!r} must be an integer" in error
+
+
+@pytest.mark.parametrize("field", ["vertices", "edges", "legs"])
+def test_non_list_element_field_is_named(tmp_path, field):
+    error = _run_malformed(tmp_path, lambda doc: doc.update({field: 5}))
+    assert f"field {field!r} must be a list" in error
+
+
+# -- one parse per input -------------------------------------------------------
+
+
+def test_report_parses_each_input_once(monkeypatch):
+    calls = []
+    loads = schema.loads
+
+    def counting_loads(text):
+        calls.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(schema, "loads", counting_loads)
+    with redirect_stdout(io.StringIO()):
+        cli.main(["report", fixture("two_line_ghost.json"), fixture("two_line_collapsed.json")])
+    assert len(calls) == 2
+
+
+# -- golden outputs --------------------------------------------------------------
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+GOLDEN = os.path.join(ROOT, "bench", "baseline", "cli.json")
+
+
+def _digest(stdout):
+    return hashlib.sha256(json.dumps(stdout, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.skipif(not os.path.exists(GOLDEN), reason="benchmark goldens not present")
+def test_every_command_on_every_fixture_matches_golden(monkeypatch):
+    """Exit code and stdout digest of `<command> <fixture>` as recorded in the
+    benchmark's golden file, run in-process from the repository root."""
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    monkeypatch.chdir(ROOT)
+    mismatches = []
+    for key, expected in sorted(golden.items()):
+        command, name = key.split(" ")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([command, f"src/logmoduli/fixtures/{name}"])
+        if (code, _digest(out.getvalue())) != (expected["code"], expected["stdout"]):
+            mismatches.append(key)
+    assert len(golden) == 126
+    assert mismatches == []

@@ -6,6 +6,7 @@ import pytest
 import logmoduli as lm
 from logmoduli import intlinalg as il
 from logmoduli.errors import InputError
+from logmoduli.graphs import first_betti_number
 
 from conftest import (
     good_ex2,
@@ -244,3 +245,25 @@ def test_multinode_stratum_mismatch_rejected():
     g = lm.DecoratedDualGraph(2, 2, [verts[1], verts[2]], [mn], [])
     with pytest.raises(InputError):
         lm.build_rho_multinode(g)
+
+
+def test_build_rho_multinode_is_build_rho():
+    assert lm.build_rho_multinode is lm.build_rho
+
+
+def test_build_rho_accepts_multinodes_and_indexes_branches():
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    collapsed = _collapse(g, data)
+    rho_bar = lm.build_rho(collapsed)
+    assert rho_bar.n_rows == 4  # two difference blocks of the 3-branch node
+    assert lm.node_index(collapsed) == tuple(("m", j, i) for j in range(3) for i in (1, 2))
+    assert lm.node_index(g) == lm.build_rho(g).codomain_index
+
+
+def test_first_betti_counts_multinodes_as_trees():
+    assert first_betti_number("abc", [("a", "b"), ("b", "c")]) == 0
+    assert first_betti_number("abc", [("a", "b"), ("b", "c"), ("c", "a")]) == 1
+    assert first_betti_number("abc", [("a", "b", "c"), ("a", "b")]) == 1
+    assert first_betti_number("ab", [("a", "a")]) == 1
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    assert g.first_betti() == 0 == _collapse(g, data).first_betti()

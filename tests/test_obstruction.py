@@ -373,3 +373,33 @@ def test_collapse_homomorphism_rejects_non_ghosts():
     g2 = _expanded_two_ghost_chain()
     with pytest.raises(InputError):
         lm.collapse_homomorphism(g2, ["g1", "v1"])
+
+
+def test_one_ob_entry_point_behind_both_names():
+    assert lm.compute_ob_multinode is lm.compute_ob
+
+
+def test_compute_ob_leaves_the_callers_sections_alone():
+    # two_line_ghost carries no sections: compute_ob synthesizes the ghost's
+    g, data = two_line_ghost(_q(3), _q(5), _q(7), _q(2), _q(11))
+    assert data.sections == {}
+    first = lm.compute_ob(g, data)
+    assert data.sections == {}
+    assert lm.compute_ob(g, data).values == first.values
+    # explicit sections stay exactly the objects the caller put there
+    g, data = good_ex2({(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3) if i != j})
+    before = {vid: dict(secs) for vid, secs in data.sections.items()}
+    lm.compute_ob(g, data, good_ex2_character())
+    assert data.sections.keys() == before.keys()
+    for vid, secs in before.items():
+        assert data.sections[vid].keys() == secs.keys()
+        assert all(data.sections[vid][i] is sec for i, sec in secs.items())
+
+
+def test_collapse_homomorphism_rejects_multinode_graph():
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    collapsed, _, _, _, _ = lm.collapse_ghost(g, data, "v0")
+    ghost = lm.Vertex("g", 0, {1, 2}, 0, (0, 0), "ghost")
+    g2 = lm.DecoratedDualGraph(2, 2, collapsed.vertices + (ghost,), collapsed.edges, [])
+    with pytest.raises(InputError, match="multi-node edge not allowed"):
+        lm.collapse_homomorphism(g2, ["g"])

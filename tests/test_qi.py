@@ -57,3 +57,9 @@ def test_parse_rejects_garbage():
     for bad in ["", "i", "1/2+", "1//2", "inf", "1.5", "a"]:
         with pytest.raises(StructuralError):
             qi_parse(bad)
+
+
+def test_parse_rejects_zero_denominator():
+    for bad in ["1/0", "1/2+3/0*i", "0/0*i"]:
+        with pytest.raises(StructuralError):
+            qi_parse(bad)

@@ -277,3 +277,13 @@ def test_cluster_rejects_principal_members():
     g2 = lm.DecoratedDualGraph(2, 2, verts, g.edges, g.legs)
     with pytest.raises(InputError):
         lm.classify_cluster(lm.MapModel(g2), ["v1"], nef=True)
+
+
+def test_first_stage_counts_agree_with_graph_formulas(rng):
+    # the tracking quantity, ledger and genus are one formula each, shared by
+    # the decorated graph and the reduction's count-level snapshot
+    for _ in range(60):
+        model = random_map_model(rng)
+        trace = lm.rt_reduce(model)
+        assert trace.q_values[0] == lm.q_quantity(model.graph)
+        assert trace.genus_by_stage[0] == model.graph.total_genus()

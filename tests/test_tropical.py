@@ -169,3 +169,10 @@ def test_lp_agrees_with_fourier_motzkin(rng):
         if checked >= 200:
             break
     assert checked >= 200
+
+
+def test_cone_rejects_multinode_graph():
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    collapsed, _, _, _, _ = lm.collapse_ghost(g, data, "v0")
+    with pytest.raises(lm.InputError, match="multi-node edge not allowed"):
+        lm.cone_sigma(collapsed)
