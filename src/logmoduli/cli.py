@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import schema
 from .dimension import dimension_report
@@ -265,25 +264,15 @@ def main(argv=None) -> int:
     parser.add_argument("--expect-trivial", action="store_true", dest="expect_trivial")
     parser.add_argument("--multinode", action="store_true", help="allow multi-node edges")
     parser.add_argument("--cone", action="store_true", help="include the gluing cone")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism across input files")
     args = parser.parse_args(argv)
 
     runner = _COMMANDS[args.command]
-
-    def one(path):
-        try:
-            return runner(path, _load(path), args)
-        except (LogModuliError, OSError) as exc:
-            return {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
-
-    if args.jobs > 1 and len(args.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, args.inputs))
-    else:
-        results = [one(path) for path in args.inputs]
-
     code = EXIT_OK
-    for (payload, c) in results:
+    for path in args.inputs:
+        try:
+            payload, c = runner(path, _load(path), args)
+        except (LogModuliError, OSError) as exc:
+            payload, c = {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
         if args.format == "json":
             sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         else:

@@ -46,11 +46,7 @@ def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
     """
     if graph.has_multinode:
         raise InputError("stratum_dim expects a graph without multi-nodes")
-    d = _stratum_dim(graph, build_rho(graph))
-    return 2 * d if real else d
-
-
-def _stratum_dim(graph: DecoratedDualGraph, lmap) -> int:
+    lmap = build_rho(graph)
     n = graph.n
     g = graph.total_genus()
     k = graph.k()
@@ -74,7 +70,7 @@ def _stratum_dim(graph: DecoratedDualGraph, lmap) -> int:
         raise LogModuliError(
             f"internal inconsistency: stratum dimension routes disagree ({route1} vs {route2})"
         )
-    return route1
+    return 2 * route1 if real else route1
 
 
 def plog_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
@@ -199,7 +195,7 @@ def dimension_report(graph: DecoratedDualGraph, cover: Optional[dict] = None) ->
     c1 = sum(v.c1_log for v in graph.vertices)
     d_log = expected_dim_log(c1, graph.n, graph.total_genus(), graph.k())
     lmap = build_rho(graph)
-    d_str = None if graph.has_multinode else _stratum_dim(graph, lmap)
+    d_str = None if graph.has_multinode else stratum_dim(graph)
     mc = None
     if cover:
         mc = mc_fiber_dims(

@@ -125,6 +125,7 @@ class DecoratedDualGraph:
         for l in self.legs:
             if l.vertex in self._legs_at:
                 self._legs_at[l.vertex].append(l)
+        self._lattice_map = None  # kept by lattice.build_rho
 
     # -- accessors -----------------------------------------------------------
 
@@ -160,25 +161,8 @@ class DecoratedDualGraph:
         return len(self.legs)
 
     def components(self):
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v.id in seen:
-                continue
-            stack = [v.id]
-            comp = set()
-            while stack:
-                cur = stack.pop()
-                if cur in comp:
-                    continue
-                comp.add(cur)
-                for e, idx in self._adj[cur]:
-                    for other in e.ends:
-                        if other not in comp:
-                            stack.append(other)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        comps = _components([v.id for v in self.vertices], [e.ends for e in self.edges])
+        return [frozenset(comp) for comp in comps]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -210,7 +194,19 @@ def first_betti_number(vertex_ids, node_ends) -> int:
     validation reports them.
     """
     ids = list(vertex_ids)
-    parent = {vid: vid for vid in ids}
+    node_ends = list(node_ends)
+    half_pairs = sum(len(ends) - 1 for ends in node_ends)
+    return half_pairs - len(ids) + len(_components(ids, node_ends))
+
+
+def _components(vertex_ids, node_ends):
+    """Connected components of the vertices joined by the given nodes.
+
+    Components come in the order of their first vertex, each listing its
+    members in the order of vertex_ids.  Ids that name no vertex join
+    nothing.
+    """
+    parent = {vid: vid for vid in vertex_ids}
 
     def find(x):
         while parent[x] != x:
@@ -218,14 +214,14 @@ def first_betti_number(vertex_ids, node_ends) -> int:
             x = parent[x]
         return x
 
-    half_pairs = 0
     for ends in node_ends:
-        half_pairs += len(ends) - 1
         known = [vid for vid in ends if vid in parent]
         for other in known[1:]:
             parent[find(other)] = find(known[0])
-    comps = len({find(v) for v in parent})
-    return half_pairs - len(ids) + comps
+    comps = {}
+    for vid in vertex_ids:
+        comps.setdefault(find(vid), []).append(vid)
+    return list(comps.values())
 
 
 @dataclass(frozen=True)
@@ -404,22 +400,7 @@ class DecorationSolution:
 def _support_graph(graph: DecoratedDualGraph, i: int):
     """Vertex components of the subgraph of edges whose stratum contains i."""
     edges = [e for e in graph.edges if i in e.stratum]
-    parent = {v.id: v.id for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        r = find(e.ends[0])
-        for other in e.ends[1:]:
-            parent[find(other)] = r
-    comps = {}
-    for v in graph.vertices:
-        comps.setdefault(find(v.id), []).append(v.id)
-    return edges, list(comps.values())
+    return edges, _components([v.id for v in graph.vertices], [e.ends for e in edges])
 
 
 def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) -> DecorationSolution:

@@ -7,8 +7,11 @@ transform U of U*M = H, whose entries grow without bound under Euclidean
 elimination: kernels come from a rational null space saturated modulo its
 common denominator (Cohen, *A Course in Computational Algebraic Number
 Theory*, 2.4; Domich, Kannan and Trotter 1987), the one place that uses
-modular arithmetic.  `hnf_row` keeps the U-certified elimination as the
-reference the tests compare against.
+modular arithmetic.  The Smith normal form has no elimination of its own:
+it alternates the Hermite form of the matrix and of its transpose until
+the matrix is diagonal (Kannan and Bachem 1979), then turns the diagonal
+into a divisibility chain.  `hnf_row` keeps the U-certified elimination as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -143,6 +146,13 @@ def hnf(m):
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows are collected at the bottom.
     """
+    h = _hnf_rows(m)
+    cols = len(m[0]) if m else 0
+    return h + [[0] * cols for _ in range(len(m) - len(h))]
+
+
+def _hnf_rows(m):
+    """The nonzero rows of hnf(M)."""
     h = _echelon(m)
     for r, prow in enumerate(h):
         c = next(j for j, x in enumerate(prow) if x)
@@ -151,8 +161,7 @@ def hnf(m):
             q = h[i][c] // prow[c]
             if q:
                 h[i] = h[i][:c] + [x - q * y for x, y in zip(h[i][c:], tail)]
-    cols = len(m[0]) if m else 0
-    return h + [[0] * cols for _ in range(len(m) - len(h))]
+    return h
 
 
 def rank(m):
@@ -272,78 +281,26 @@ def left_kernel(m):
 
 
 def smith_normal_form(m):
-    """Diagonal invariant factors d_1 | d_2 | ... of M (nonzero ones only)."""
-    a = _copy(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    diag = []
-    t = 0
-    while t < rows and t < cols:
-        # locate a nonzero pivot
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t
-            changed = False
-            for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    if abs(a[i][t]) < abs(a[t][t]) or a[t][t] == 0:
-                        a[t], a[i] = a[i], a[t]
-                        changed = True
-                        continue
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    changed = True
-            # clear row t
-            for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    if abs(a[t][j]) < abs(a[t][t]) or a[t][t] == 0:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        changed = True
-                        continue
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    changed = True
-            if not changed:
-                break
-        if a[t][t] == 0:
-            break
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        # enforce divisibility d_t | a[i][j] for the trailing block
-        fixed = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        diag.append(a[t][t])
-        t += 1
+    """Diagonal invariant factors d_1 | d_2 | ... of M (nonzero ones only).
+
+    Alternating Hermite forms (Kannan and Bachem 1979): the nonzero rows of
+    hnf(M), then of hnf of their transpose, and so on until the matrix is
+    diagonal; both steps keep the Smith form.  Pairwise (gcd, lcm) steps
+    then turn the diagonal into a divisibility chain.
+    """
+    h = _hnf_rows(m)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = _hnf_rows(transpose(h))
+    diag = [row[i] for i, row in enumerate(h)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     return diag
 
 
 def lattices_equal(a, b) -> bool:
     """Whether two row-span lattices in Z^n coincide."""
-    return [row for row in hnf(a) if any(row)] == [row for row in hnf(b) if any(row)]
+    return _hnf_rows(a) == _hnf_rows(b)
 
 
 def in_lattice(vec, basis) -> bool:

@@ -138,7 +138,12 @@ def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
     encoding of the same node; the cokernel and character lattice agree
     between the two encodings, the kernel differs by the pure gauge along the
     duplicated scaling.
+
+    The graph is immutable, so the map is built once and kept on it: every
+    later call returns the same map with its cached normal forms.
     """
+    if graph._lattice_map is not None:
+        return graph._lattice_map
     require_valid(graph, multinode_allowed=True)
     for e in graph.edges:
         if e.is_multinode:
@@ -197,7 +202,8 @@ def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
                     add_branch(e, idx, i, col, 1 if e.branch_into(idx) else -1)
                 elif e.ends[0] != e.ends[1]:  # loops contribute nothing
                     matrix[t_pos[(e.id, i)]][col] += 1 if idx == 0 else -1
-    return LatticeMap(matrix, d_index, t_index, graph)
+    graph._lattice_map = LatticeMap(matrix, d_index, t_index, graph)
+    return graph._lattice_map
 
 
 build_rho_multinode = build_rho

@@ -31,15 +31,28 @@ def _int(obj, key, where):
     value = _req(obj, key, where)
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
 
 
-def _list(obj, key, where):
-    value = obj.get(key, [])
+def _list(value, key, where, item=None):
+    """The value of a list field, each entry converted by item (`int`, or
+    `_int_row` for rows of integers); anything else raises a StructuralError
+    naming the field."""
     if not isinstance(value, list):
         raise StructuralError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
-    return value
+    if item is None:
+        return value
+    try:
+        return [item(x) for x in value]
+    except (TypeError, ValueError, OverflowError):
+        raise StructuralError(f"{where}: field {key!r} must hold integers, got {value!r}") from None
+
+
+def _int_row(value):
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return [int(x) for x in value]
 
 
 def parse_document(doc: dict):
@@ -53,18 +66,22 @@ def parse_document(doc: dict):
     n = _int(doc, "n", "document")
 
     vertices = []
-    for item in _list(doc, "vertices", "document"):
+    for item in _list(doc.get("vertices", []), "vertices", "document"):
+        vid = str(_req(item, "id", "vertex"))
+        where = f"vertex {vid}"
+        base_degrees = item.get("base_degrees")
         vertices.append(
             Vertex(
-                id=str(_req(item, "id", "vertex")),
+                id=vid,
                 genus=int(item.get("genus", 0)),
-                stratum=frozenset(item.get("stratum", [])),
+                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, int)),
                 c1_log=int(item.get("c1_log", 0)),
-                degrees=tuple(item.get("degrees", [0] * N)),
+                degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, int)),
                 kind=item.get("kind", "principal"),
                 image_label=item.get("image_label"),
                 cover_degree=item.get("cover_degree"),
-                base_degrees=tuple(item["base_degrees"]) if item.get("base_degrees") else None,
+                base_degrees=(tuple(_list(base_degrees, "base_degrees", where, int))
+                              if base_degrees else None),
                 base_c1_log=item.get("base_c1_log"),
             )
         )
@@ -72,11 +89,13 @@ def parse_document(doc: dict):
     edges = []
     positions = {}
     eta = {}
-    for item in _list(doc, "edges", "document"):
+    for item in _list(doc.get("edges", []), "edges", "document"):
         eid = str(_req(item, "id", "edge"))
-        ends = tuple(str(x) for x in _req(item, "ends", f"edge {eid}"))
+        where = f"edge {eid}"
+        ends = tuple(_list(_req(item, "ends", where), "ends", where, str))
         contact = item.get("contact")
         contacts = item.get("contacts")
+        into = item.get("into")
         labels = item.get("image_labels")
         if labels is not None:
             labels = tuple(labels.get(str(i)) for i in range(len(ends)))
@@ -84,10 +103,11 @@ def parse_document(doc: dict):
             Edge(
                 eid,
                 ends,
-                stratum=frozenset(item.get("stratum", [])),
-                contact=tuple(contact) if contact is not None else None,
-                contacts=tuple(tuple(c) for c in contacts) if contacts is not None else None,
-                into=tuple(item["into"]) if item.get("into") is not None else None,
+                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, int)),
+                contact=_list(contact, "contact", where, int) if contact is not None else None,
+                contacts=(_list(contacts, "contacts", where, _int_row)
+                          if contacts is not None else None),
+                into=_list(into, "into", where) if into is not None else None,
                 image_labels=labels,
             )
         )
@@ -99,13 +119,13 @@ def parse_document(doc: dict):
 
     legs = []
     leg_positions = {}
-    for item in _list(doc, "legs", "document"):
+    for item in _list(doc.get("legs", []), "legs", "document"):
         lid = str(_req(item, "id", "leg"))
         legs.append(
             Leg(
                 lid,
                 str(_req(item, "vertex", f"leg {lid}")),
-                contact=tuple(item.get("contact", [0] * N)),
+                contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", int),
                 position=item.get("position"),
                 image_label=item.get("image_label"),
             )
@@ -144,6 +164,7 @@ def parse_document(doc: dict):
 def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
     """Character rows on the graph's node coordinates, lengths checked."""
     index = node_index(graph)
+    rows = _list(rows, "characters", "document", _int_row)
     for row in rows:
         if len(row) != len(index):
             raise StructuralError(

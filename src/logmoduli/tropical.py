@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from . import intlinalg as il
 from . import linprog
-from .errors import InputError, SizeCapError
+from .errors import SizeCapError
 from .graphs import DecoratedDualGraph, require_valid
 from .lattice import build_rho
 
@@ -52,56 +53,36 @@ class TropicalResult:
     certificate: Optional[dict] = None  # constraint label -> multiplier
 
 
-def _variables(graph: DecoratedDualGraph):
-    vars_ = [("lam", e.id) for e in graph.edges]
-    for v in graph.vertices:
-        vars_.extend(("s", v.id, i) for i in sorted(v.stratum))
-    return vars_
+def _system(graph: DecoratedDualGraph):
+    """(variables, rows, labels) of the slope/length equations A x = 0.
 
-
-def _equations(graph: DecoratedDualGraph, vars_):
-    pos = {var: j for j, var in enumerate(vars_)}
-    rows = []
-    labels = []
-    for e in graph.edges:
-        v1, v2 = e.ends
-        st1 = graph.vertex(v1).stratum
-        st2 = graph.vertex(v2).stratum
-        for i in range(1, graph.N + 1):
-            if i not in e.stratum and e.contact[i - 1] == 0 and i not in st1 and i not in st2:
-                continue
-            row = [0] * len(vars_)
-            if ("s", v2, i) in pos:
-                row[pos[("s", v2, i)]] += 1
-            if ("s", v1, i) in pos:
-                row[pos[("s", v1, i)]] -= 1
-            row[pos[("lam", e.id)]] -= e.contact[i - 1]
-            if any(row):
-                rows.append(row)
-                labels.append((e.id, i))
-            elif e.contact[i - 1] != 0:
-                rows.append(row)
-                labels.append((e.id, i))
-    return rows, labels
+    The system is the lattice map rho, negated so that the row of node e
+    and coordinate i reads s(ends[1], i) - s(ends[0], i) - lam_e * contact_i;
+    the zero rows of loops are dropped, since a zero row with a label would
+    put a spurious multiplier into a Farkas certificate.
+    """
+    lmap = build_rho(graph)
+    rows, labels = [], []
+    for row, label in zip(lmap.matrix, lmap.codomain_index):
+        if any(row):
+            rows.append([-x for x in row])
+            labels.append(label)
+    return lmap.domain_index, rows, labels
 
 
 def tropical_feasible(graph: DecoratedDualGraph) -> TropicalResult:
     """Decide the tropical condition by exact rational feasibility."""
     require_valid(graph)
-    if any(e.contact is None for e in graph.edges):
-        raise InputError("all edges must carry contact vectors")
-
-    vars_ = _variables(graph)
+    vars_, rows, labels = _system(graph)
     if not vars_:
         return TropicalResult(True, TropicalWitness({}, {}))
-    rows, labels = _equations(graph, vars_)
     b = [0] * len(rows)
     res = linprog.feasible_eq_lower(rows, b, [1] * len(vars_))
     if res.feasible:
         lam = {}
         slopes = {}
         for var, val in zip(vars_, res.point):
-            if var[0] == "lam":
+            if var[0] == "edge":
                 lam[var[1]] = val
             else:
                 slopes[(var[1], var[2])] = val
@@ -141,89 +122,33 @@ def cone_sigma(graph: DecoratedDualGraph) -> ConeDescription:
     if r == 0:
         return ConeDescription(0, (), True)
 
-    # sigma in kernel coordinates: { t : (B^T t)_j >= 0 }
-    constraints = [[Fraction(kernel[i][j]) for i in range(r)] for j in range(n)]
-
+    # sigma in kernel coordinates: { t : (B^T t)_j >= 0 }; a candidate ray
+    # is the direction on which r - 1 of these facets vanish, when unique
+    constraints = [[kernel[i][j] for i in range(r)] for j in range(n)]
     rays = set()
-    if r == 1:
+    for subset in itertools.combinations(range(n), r - 1):
+        dirs = il.kernel([constraints[j] for j in subset]) if subset else il.identity(1)
+        if len(dirs) != 1:
+            continue
         for sign in (1, -1):
-            vec = [sign * x for x in kernel[0]]
-            if all(v >= 0 for v in vec):
-                rays.add(_primitive(vec))
-    else:
-        for subset in itertools.combinations(range(n), r - 1):
-            dirs = _null_direction([constraints[j] for j in subset], r)
-            if dirs is None:
-                continue
-            for sign in (1, -1):
-                t = [sign * x for x in dirs]
-                vec = [sum(t[i] * kernel[i][j] for i in range(r)) for j in range(n)]
-                if all(v >= 0 for v in vec) and any(v != 0 for v in vec):
-                    rays.add(_primitive(vec))
+            t = [sign * x for x in dirs[0]]
+            vec = [sum(t[i] * kernel[i][j] for i in range(r)) for j in range(n)]
+            if all(v >= 0 for v in vec) and any(v != 0 for v in vec):
+                g = gcd(*vec)
+                rays.add(tuple(v // g for v in vec))
 
     ray_list = sorted(rays)
     dim = il.rank(ray_list) if ray_list else 0
     return ConeDescription(dim, tuple(ray_list), True)
 
 
-def _null_direction(rows, r):
-    """A nonzero rational vector killing all given rows, if unique up to scale."""
-    from fractions import Fraction as F
-
-    m = [[F(x) for x in row] for row in rows]
-    # gaussian elimination
-    pivots = []
-    lead = 0
-    for col in range(r):
-        piv = None
-        for i in range(lead, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[lead], m[piv] = m[piv], m[lead]
-        inv = 1 / m[lead][col]
-        m[lead] = [x * inv for x in m[lead]]
-        for i in range(len(m)):
-            if i != lead and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[lead])]
-        pivots.append(col)
-        lead += 1
-    free = [c for c in range(r) if c not in pivots]
-    if len(free) != 1:
-        return None
-    t = [F(0)] * r
-    t[free[0]] = F(1)
-    for row_idx, col in enumerate(pivots):
-        t[col] = -m[row_idx][free[0]]
-    return t
-
-
-def _primitive(vec):
-    from math import gcd
-
-    denoms = 1
-    for v in vec:
-        denoms = denoms * Fraction(v).denominator // gcd(denoms, Fraction(v).denominator)
-    ints = [int(Fraction(v) * denoms) for v in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def feasible_by_fourier_motzkin(graph: DecoratedDualGraph) -> bool:
     """Independent cross-check path; exponential, keep to ~12 variables."""
-    vars_ = _variables(graph)
+    vars_, rows, _ = _system(graph)
     if len(vars_) > 12:
         raise SizeCapError("fourier-motzkin cross-check capped at 12 variables")
     if not vars_:
         return True
-    rows, _ = _equations(graph, vars_)
     ineqs = []
     for row in rows:
         ineqs.append([Fraction(c) for c in row] + [Fraction(0)])

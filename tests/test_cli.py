@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from logmoduli import cli, schema
+from logmoduli import cli, lattice, schema
 
 FIXTURES = os.environ.get(
     "LOGMODULI_FIXTURES",
@@ -141,12 +141,11 @@ def test_table_format():
     assert "{" not in proc.stdout.splitlines()[0]
 
 
-def test_jobs_across_files_preserves_order():
+def test_several_inputs_print_in_order():
     a = fixture("two_line_ghost.json")
     b = fixture("good_ex2.json")
-    seq = run_cli("group", a, b).stdout
-    par = run_cli("group", a, b, "--jobs", "2").stdout
-    assert seq == par
+    both = run_cli("group", a, b).stdout
+    assert both == run_cli("group", a).stdout + run_cli("group", b).stdout
 
 
 def test_multinode_document_group_and_ob():
@@ -205,6 +204,30 @@ def test_non_list_element_field_is_named(tmp_path, field):
     assert f"field {field!r} must be a list" in error
 
 
+@pytest.mark.parametrize("field, mutate", [
+    ("stratum", lambda doc: doc["vertices"][0].update(stratum=5)),
+    ("contact", lambda doc: doc["edges"][0].update(contact=7)),
+    ("degrees", lambda doc: doc["vertices"][0].update(degrees="ab")),
+    ("characters", None),
+])
+def test_nested_list_field_is_named(tmp_path, field, mutate):
+    with open(fixture("two_line_ghost.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "doc.json"
+    if mutate is None:
+        chars = tmp_path / "characters.json"
+        chars.write_text(json.dumps({"characters": 5}))
+        argv = ["ob", str(path), "--characters", str(chars)]
+    else:
+        mutate(doc)
+        argv = ["report", str(path)]
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*argv)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert f"field {field!r} must be a list" in json.loads(proc.stdout)["error"]
+
+
 # -- one parse per input -------------------------------------------------------
 
 
@@ -220,6 +243,22 @@ def test_report_parses_each_input_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         cli.main(["report", fixture("two_line_ghost.json"), fixture("two_line_collapsed.json")])
     assert len(calls) == 2
+
+
+def test_report_builds_one_lattice_map(monkeypatch):
+    built = []
+    init = lattice.LatticeMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lattice.LatticeMap, "__init__", counting_init)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli.main(["report", fixture("good_ex1.json")])
+    assert set(json.loads(out.getvalue())["parts"]) >= {"group", "tropical", "dims", "ob"}
+    assert len(built) == 1
 
 
 # -- golden outputs --------------------------------------------------------------

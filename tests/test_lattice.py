@@ -68,6 +68,23 @@ def test_cycle_rich_group_data_at_scale():
         assert not any(il.mat_vec(il.transpose(m), chi))
 
 
+def test_invariant_factors_at_scale():
+    """nv = 160 gives a 699 x 572 map; the elimination Smith form took about
+    7 s on it, alternating Hermite forms take well under a second."""
+    rho = lm.build_rho(random_cycle_rich_graph(random.Random(12), 160))
+    assert (rho.n_rows, rho.n_cols) == (699, 572)
+    start = time.perf_counter()
+    factors = rho.invariant_factors()
+    assert time.perf_counter() - start < 2.0
+    assert len(factors) == rho.rank
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def test_build_rho_keeps_one_map_per_graph():
+    g, _ = two_line_ghost(1, 2, 3, 4, 5)
+    assert lm.build_rho(g) is lm.build_rho(g)
+
+
 def test_mc_issue_kernel_generator():
     for a, d in [(1, 1), (3, 2), (5, 4)]:
         g = mc_issue(a, d)

@@ -73,7 +73,7 @@ def dense_solve_eq_nonneg(a, b):
 
 def _tropical_system(graph):
     """The tropical equations shifted to x >= 0, as feasible_eq_lower does."""
-    rows, _ = tropical._equations(graph, tropical._variables(graph))
+    _, rows, _ = tropical._system(graph)
     return rows, [-sum(row) for row in rows]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,14 +51,61 @@ def test_parallel_edges_sign_contradiction_infeasible():
     assert not res.feasible
     assert res.certificate  # Farkas data present and verifiable
     vars_count = len(g.edges) + sum(len(v.stratum) for v in g.vertices)
-    from logmoduli.tropical import _equations, _variables
+    from logmoduli.tropical import _system
 
-    vars_ = _variables(g)
-    rows, labels = _equations(g, vars_)
+    _, rows, labels = _system(g)
     shift = [sum(r) for r in rows]
     b2 = [-s for s in shift]
     y = [res.certificate.get(lab, Fraction(0)) for lab in labels]
     assert linprog.verify_farkas(rows, b2, y)
+
+
+def _slope_length_equations(graph):
+    """s(ends[1], i) - s(ends[0], i) = lam_e * contact_i for every edge e and
+    coordinate i, built from the graph alone (a slope outside its vertex's
+    stratum is 0): the variable index and the nonzero rows by (edge, i)."""
+    cols = {("lam", e.id): k for k, e in enumerate(graph.edges)}
+    for v in graph.vertices:
+        for i in sorted(v.stratum):
+            cols[("s", v.id, i)] = len(cols)
+    rows = {}
+    for e in graph.edges:
+        start, end = e.ends
+        for i in range(1, graph.N + 1):
+            row = [0] * len(cols)
+            row[cols[("lam", e.id)]] -= e.contact[i - 1]
+            if ("s", end, i) in cols:
+                row[cols[("s", end, i)]] += 1
+            if ("s", start, i) in cols:
+                row[cols[("s", start, i)]] -= 1
+            if any(row):
+                rows[(e.id, i)] = row
+    return cols, rows
+
+
+def test_witnesses_and_certificates_hold_on_equations_from_the_graph():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(40):
+        g = random_balanced_graph(rng, max_vertices=5, cyclic=True)
+        cols, rows = _slope_length_equations(g)
+        res = lm.tropical_feasible(g)
+        verdicts.append(res.feasible)
+        if res.feasible:
+            x = [None] * len(cols)
+            for eid, value in res.witness.lam.items():
+                x[cols[("lam", eid)]] = value
+            for (vid, i), value in res.witness.slopes.items():
+                x[cols[("s", vid, i)]] = value
+            assert all(value is not None and value > 0 for value in x)
+            assert all(sum(a * t for a, t in zip(row, x)) == 0 for row in rows.values())
+        else:
+            assert set(res.certificate) <= set(rows)
+            labels = sorted(rows)
+            a = [rows[label] for label in labels]
+            y = [res.certificate.get(label, Fraction(0)) for label in labels]
+            assert linprog.verify_farkas(a, [-sum(row) for row in a], y)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_zero_decoration_feasible_nonzero_infeasible_on_cycle():
