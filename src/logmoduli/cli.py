@@ -103,17 +103,28 @@ def run_group(path, doc, args):
     return payload, EXIT_OK
 
 
+def _read_characters(args):
+    """Character rows of the --characters file, or None without one."""
+    if not args.characters:
+        return None
+    with open(args.characters, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StructuralError(f"invalid JSON in characters file: {exc}") from exc
+    rows = raw.get("characters") if isinstance(raw, dict) else raw
+    if not rows:
+        raise StructuralError("characters file carries no characters")
+    return schema.character_rows(rows)
+
+
 def run_ob(path, doc, args):
+    return _ob_part(path, doc, args, _read_characters(args))
+
+
+def _ob_part(path, doc, args, rows):
     graph, data, _, characters, _ = doc
-    if args.characters:
-        with open(args.characters, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise StructuralError(f"invalid JSON in characters file: {exc}") from exc
-        rows = raw.get("characters") if isinstance(raw, dict) else raw
-        if not rows:
-            raise StructuralError("characters file carries no characters")
+    if rows is not None:
         characters = schema.characters_on(graph, rows)
     ob = compute_ob(graph, data, characters)
     payload = {
@@ -216,8 +227,11 @@ def run_report(path, doc, args):
             payload["parts"]["tropical"] = part
             part, c = run_dims(path, doc, args)
             payload["parts"]["dims"] = part
+        # a bad characters file is the user's error; a graph that ob does
+        # not apply to only drops the part
+        rows = _read_characters(args)
         try:
-            part, c2 = run_ob(path, doc, args)
+            part, c2 = _ob_part(path, doc, args, rows)
             payload["parts"]["ob"] = part
             code = max(code, c2)
         except LogModuliError:

@@ -125,6 +125,7 @@ class DecoratedDualGraph:
         for l in self.legs:
             if l.vertex in self._legs_at:
                 self._legs_at[l.vertex].append(l)
+        self._violations = None  # kept by validate_graph
         self._lattice_map = None  # kept by lattice.build_rho
 
     # -- accessors -----------------------------------------------------------
@@ -299,8 +300,20 @@ def validate_graph(graph: DecoratedDualGraph, multinode_allowed: bool = False) -
     """Check every graph invariant; structural problems raise instead.
 
     The returned report lists one Violation per failed invariant with the
-    offending element id; an empty report means the graph is valid.
+    offending element id; an empty report means the graph is valid.  The
+    graph is immutable, so the violations are found once and kept on it;
+    multinode_allowed only drops the `multinode` ones.
     """
+    violations = graph._violations
+    if violations is None:
+        violations = _violations(graph)
+        graph._violations = violations
+    if multinode_allowed:
+        violations = tuple(v for v in violations if v.code != "multinode")
+    return ValidationReport(violations)
+
+
+def _violations(graph: DecoratedDualGraph) -> tuple:
     _structural_check(graph)
     bad = []
 
@@ -317,28 +330,18 @@ def validate_graph(graph: DecoratedDualGraph, multinode_allowed: bool = False) -
             bad.append(Violation("cover-degree", v.id, "cover degree must be positive"))
 
     for e in graph.edges:
-        if e.is_multinode and not multinode_allowed:
+        if e.is_multinode:
             bad.append(Violation("multinode", e.id, "multi-node edge not allowed here"))
-        if not e.is_multinode:
-            u, w = (graph.vertex(e.ends[0]), graph.vertex(e.ends[1]))
-            if e.stratum != (u.stratum | w.stratum):
-                bad.append(Violation("edge-stratum", e.id, "I_e must equal the union of endpoint strata"))
-        if e.contact is not None and not e.is_multinode:
-            v1 = graph.vertex(e.ends[0])
-            v2 = graph.vertex(e.ends[1])
-            for i in range(1, graph.N + 1):
-                s = e.contact[i - 1]
-                if i not in e.stratum and s != 0:
-                    bad.append(Violation("edge-support", e.id, f"entry {i} must vanish outside I_e"))
-                if i in e.stratum and i not in v1.stratum and s <= 0:
-                    bad.append(Violation("edge-sign", e.id, f"entry {i} must be positive toward end 0"))
-                if i in e.stratum and i not in v2.stratum and -s <= 0:
-                    bad.append(Violation("edge-sign", e.id, f"entry {i} must be positive toward end 1"))
-        if e.is_multinode and e.contacts is not None:
-            for idx, c in enumerate(e.contacts):
+            for idx, c in enumerate(e.contacts or ()):
                 for i in range(1, graph.N + 1):
                     if i not in e.stratum and c[i - 1] != 0:
                         bad.append(Violation("edge-support", e.id, f"branch {idx}: entry {i} outside I_m"))
+            continue
+        u, w = (graph.vertex(e.ends[0]), graph.vertex(e.ends[1]))
+        if e.stratum != (u.stratum | w.stratum):
+            bad.append(Violation("edge-stratum", e.id, "I_e must equal the union of endpoint strata"))
+        if e.contact is not None:
+            bad.extend(Violation(code, e.id, msg) for code, msg in _contact_faults(graph, e, e.contact))
 
     for l in graph.legs:
         v = graph.vertex(l.vertex)
@@ -362,7 +365,24 @@ def validate_graph(graph: DecoratedDualGraph, multinode_allowed: bool = False) -
                     )
                 )
 
-    return ValidationReport(tuple(sorted(bad, key=lambda x: (x.code, x.element, x.message))))
+    return tuple(sorted(bad, key=lambda x: (x.code, x.element, x.message)))
+
+
+def _contact_faults(graph: DecoratedDualGraph, e: Edge, vec):
+    """(code, message) for each entry of vec, a contact vector on the
+    ordinary edge e, that breaks the support or the sign rule: it vanishes
+    outside I_e and is positive toward each end whose stratum lacks it."""
+    s0 = graph.vertex(e.ends[0]).stratum
+    s1 = graph.vertex(e.ends[1]).stratum
+    for i, s in enumerate(vec, 1):
+        if i not in e.stratum:
+            if s != 0:
+                yield "edge-support", f"entry {i} must vanish outside I_e"
+            continue
+        if i not in s0 and s <= 0:
+            yield "edge-sign", f"entry {i} must be positive toward end 0"
+        if i not in s1 and -s <= 0:
+            yield "edge-sign", f"entry {i} must be positive toward end 1"
 
 
 def require_valid(graph: DecoratedDualGraph, multinode_allowed: bool = False) -> None:
@@ -497,6 +517,11 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
             CoordinateSolution(i, particular, tuple(basis), sols)
         )
 
+    def signs_ok(assignment):
+        return not any(
+            fault for e in graph.edges for fault in _contact_faults(graph, e, assignment[e.id])
+        )
+
     # assemble
     total_cycles = sum(len(c.cycle_basis) for c in coord_solutions)
     if total_cycles == 0:
@@ -506,7 +531,7 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
             for c in coord_solutions:
                 vec[c.coordinate - 1] = c.particular.get(e.id, 0)
             assignment[e.id] = tuple(vec)
-        if not _signs_ok(graph, assignment):
+        if not signs_ok(assignment):
             return DecorationSolution(
                 status="none",
                 reason="unique flow solution violates edge sign constraints",
@@ -529,7 +554,7 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
                 for c, flows in zip(coord_solutions, pick):
                     vec[c.coordinate - 1] = flows.get(e.id, 0)
                 assignment[e.id] = tuple(vec)
-            if _signs_ok(graph, assignment):
+            if signs_ok(assignment):
                 combos.append(assignment)
         assignments = tuple(combos)
     return DecorationSolution(
@@ -591,19 +616,3 @@ def _enumerate_flows(edges, particular, basis, bound):
                 flow[eid] = flow.get(eid, 0) + t * mult
         if all(abs(v) <= bound for v in flow.values()):
             yield flow
-
-
-def _signs_ok(graph, assignment) -> bool:
-    for e in graph.edges:
-        vec = assignment[e.id]
-        v1 = graph.vertex(e.ends[0])
-        v2 = graph.vertex(e.ends[1])
-        for i in range(1, graph.N + 1):
-            s = vec[i - 1]
-            if i not in e.stratum and s != 0:
-                return False
-            if i in e.stratum and i not in v1.stratum and s <= 0:
-                return False
-            if i in e.stratum and i not in v2.stratum and -s <= 0:
-                return False
-    return True

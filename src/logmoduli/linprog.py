@@ -9,7 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
+
+from .errors import SizeCapError
+
+_FM_ROW_CAP = 5000  # rows held at once by fourier_motzkin
 
 
 @dataclass(frozen=True)
@@ -141,53 +146,54 @@ def verify_farkas(a, b, y) -> bool:
 def fourier_motzkin(ineqs, n) -> bool:
     """Feasibility of {x in Q^n : row . (x,1) >= 0 for each row}.
 
-    Rows have length n+1 (affine part last).  Exponential but exact; intended
-    as an independent cross-check for small systems.
+    Rows have length n+1 (affine part last).  Exact; intended as an
+    independent cross-check for small systems.  Each row carries the set of
+    input rows it combines, and by Chernikov's rule a row derived after t
+    eliminations that combines more than t + 1 of them is implied by the
+    others and dropped.  More than _FM_ROW_CAP rows at once raise
+    SizeCapError.
     """
-    rows = [[Fraction(c) for c in r] for r in ineqs]
+    rows = [([Fraction(c) for c in r], frozenset((k,))) for k, r in enumerate(ineqs)]
     for var in range(n):
-        pos, neg, zero = [], [], []
-        for r in rows:
+        pos, neg, new_rows = [], [], []
+        for r, origin in rows:
             if r[var] > 0:
-                pos.append(r)
+                pos.append((r, origin))
             elif r[var] < 0:
-                neg.append(r)
+                neg.append((r, origin))
             else:
-                zero.append(r)
-        new_rows = zero
-        for p in pos:
-            for q in neg:
+                new_rows.append((r, origin))
+        for p, p_origin in pos:
+            for q, q_origin in neg:
+                origin = p_origin | q_origin
+                if len(origin) > var + 2:
+                    continue
                 # eliminate: p scaled by -q[var], q scaled by p[var]
                 lam = -q[var]
                 mu = p[var]
                 comb = [lam * a + mu * b for a, b in zip(p, q)]
                 comb[var] = Fraction(0)
-                new_rows.append(comb)
+                new_rows.append((comb, origin))
+                if len(new_rows) > _FM_ROW_CAP:
+                    raise SizeCapError(f"fourier-motzkin capped at {_FM_ROW_CAP} rows")
         rows = _dedupe(new_rows)
-    return all(r[-1] >= 0 for r in rows)
+    return all(r[-1] >= 0 for r, _ in rows)
 
 
 def _dedupe(rows):
-    seen = set()
-    out = []
-    for r in rows:
+    """Rows scaled to a canonical positive multiple, zero rows dropped; of
+    equal rows the one combining the fewest input rows is kept."""
+    kept = {}
+    for r, origin in rows:
         nz = [abs(x) for x in r if x != 0]
         if not nz:
             continue
         g = nz[0]
         for x in nz[1:]:
             # rational gcd: scale to make the row canonical
-            g = Fraction(_gcd(g.numerator * x.denominator, x.numerator * g.denominator),
+            g = Fraction(gcd(g.numerator * x.denominator, x.numerator * g.denominator),
                          g.denominator * x.denominator)
         key = tuple(x / g for x in r)
-        if key not in seen:
-            seen.add(key)
-            out.append(list(key))
-    return out
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+        if key not in kept or len(origin) < len(kept[key]):
+            kept[key] = origin
+    return [(list(key), origin) for key, origin in kept.items()]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from .errors import InputError, MissingEtaError, StructuralError
-from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, require_valid
+from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, _components, require_valid
 from .lattice import build_rho, multinode_character_pullback
 from .qi import QI_ONE, GaussianRational
 from .sections import P1Point, RationalSection, build_section, leading_coefficient
@@ -495,19 +495,7 @@ def collapse_homomorphism(graph: DecoratedDualGraph, tree_ids) -> CollapseHomomo
         elif v.stratum != common:
             raise InputError("ghost tree must have a common stratum")
     internal = [e for e in graph.edges if set(e.ends) <= tree]
-    adj = {vid: set() for vid in tree}
-    for e in internal:
-        adj[e.ends[0]].add(e.ends[1])
-        adj[e.ends[1]].add(e.ends[0])
-    seen = set()
-    stack = [next(iter(tree))]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(adj[cur] - seen)
-    if seen != tree:
+    if len(_components(sorted(tree), (e.ends for e in internal))) != 1:
         raise InputError("ghost tree is not connected")
     if len(internal) != len(tree) - 1:
         raise InputError("ghost sub-graph is not a tree")

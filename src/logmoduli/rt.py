@@ -15,7 +15,9 @@ from typing import Dict, Optional
 
 from .dimension import ghost_collapse_delta, node_ledger, tracking_quantity
 from .errors import InputError
-from .graphs import GHOST, PRINCIPAL, DecoratedDualGraph, first_betti_number, validate_graph
+from .graphs import (
+    GHOST, PRINCIPAL, DecoratedDualGraph, _components, first_betti_number, validate_graph,
+)
 
 
 @dataclass
@@ -112,10 +114,6 @@ class MapModel:
                 "map model graph is invalid: " + "; ".join(str(v) for v in report.violations)
             )
         for v in self.graph.vertices:
-            if v.kind == GHOST and (any(v.degrees) or v.c1_log != 0):
-                raise InputError(f"ghost {v.id!r} must have zero pairings")
-            if v.cover_degree is not None and v.cover_degree < 1:
-                raise InputError(f"cover degree on {v.id!r} must be positive")
             if v.cover_degree is not None and v.cover_degree > 1 and v.base_c1_log is None:
                 raise InputError(f"cover bubble {v.id!r} needs base pairings")
 
@@ -202,19 +200,11 @@ def _step_collapse_ghosts(g: RTGraph):
         ghosts = {vid for vid, v in g.vertices.items() if v.kind == GHOST}
         if not ghosts:
             break
-        # one connected ghost cluster at a time
+        # one connected ghost cluster at a time, the one holding the first ghost
         seed = sorted(ghosts)[0]
-        cluster = {seed}
-        frontier = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for node in g.nodes.values():
-                ids = [b[0] for b in node.branches]
-                if cur in ids:
-                    for other in ids:
-                        if other in ghosts and other not in cluster:
-                            cluster.add(other)
-                            frontier.append(other)
+        cluster = set(_components(
+            sorted(ghosts), ([b[0] for b in node.branches] for node in g.nodes.values())
+        )[0])
         internal = [nid for nid, node in g.nodes.items()
                     if all(b[0] in cluster for b in node.branches)]
         external = [nid for nid, node in g.nodes.items()
@@ -507,17 +497,8 @@ def _subcluster(g, cluster, cut_edge, side):
     start = cut_edge.ends[side]
     if start not in cluster:
         return None
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for e, idx in g.edges_at(cur):
-            if e.id == cut_edge.id:
-                continue
-            for other in e.ends:
-                if other in cluster and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    if cut_edge.ends[1 - side] in seen:
+    comps = _components(sorted(cluster), (e.ends for e in g.edges if e.id != cut_edge.id))
+    sub = set(next(comp for comp in comps if start in comp))
+    if cut_edge.ends[1 - side] in sub:
         return None
-    return seen
+    return sub

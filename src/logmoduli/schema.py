@@ -27,12 +27,27 @@ def _req(obj, key, where):
     return obj[key]
 
 
-def _int(obj, key, where):
+_REQUIRED = object()
+
+
+def _int(obj, key, where, default=_REQUIRED):
+    """An integer field; an optional one that is absent or null reads as
+    its default."""
+    if default is not _REQUIRED and obj.get(key) is None:
+        return default
     value = _req(obj, key, where)
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+
+
+def _obj(value, key, where):
+    """The value of an object field; anything else raises a StructuralError
+    naming the field."""
+    if not isinstance(value, dict):
+        raise StructuralError(f"{where}: field {key!r} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _list(value, key, where, item=None):
@@ -66,30 +81,32 @@ def parse_document(doc: dict):
     n = _int(doc, "n", "document")
 
     vertices = []
-    for item in _list(doc.get("vertices", []), "vertices", "document"):
+    for k, item in enumerate(_list(doc.get("vertices", []), "vertices", "document")):
+        item = _obj(item, f"vertices[{k}]", "document")
         vid = str(_req(item, "id", "vertex"))
         where = f"vertex {vid}"
         base_degrees = item.get("base_degrees")
         vertices.append(
             Vertex(
                 id=vid,
-                genus=int(item.get("genus", 0)),
+                genus=_int(item, "genus", where, 0),
                 stratum=frozenset(_list(item.get("stratum", []), "stratum", where, int)),
-                c1_log=int(item.get("c1_log", 0)),
+                c1_log=_int(item, "c1_log", where, 0),
                 degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, int)),
                 kind=item.get("kind", "principal"),
                 image_label=item.get("image_label"),
-                cover_degree=item.get("cover_degree"),
+                cover_degree=_int(item, "cover_degree", where, None),
                 base_degrees=(tuple(_list(base_degrees, "base_degrees", where, int))
                               if base_degrees else None),
-                base_c1_log=item.get("base_c1_log"),
+                base_c1_log=_int(item, "base_c1_log", where, None),
             )
         )
 
     edges = []
     positions = {}
     eta = {}
-    for item in _list(doc.get("edges", []), "edges", "document"):
+    for k, item in enumerate(_list(doc.get("edges", []), "edges", "document")):
+        item = _obj(item, f"edges[{k}]", "document")
         eid = str(_req(item, "id", "edge"))
         where = f"edge {eid}"
         ends = tuple(_list(_req(item, "ends", where), "ends", where, str))
@@ -98,6 +115,7 @@ def parse_document(doc: dict):
         into = item.get("into")
         labels = item.get("image_labels")
         if labels is not None:
+            labels = _obj(labels, "image_labels", where)
             labels = tuple(labels.get(str(i)) for i in range(len(ends)))
         edges.append(
             Edge(
@@ -111,15 +129,16 @@ def parse_document(doc: dict):
                 image_labels=labels,
             )
         )
-        for key, val in (item.get("positions") or {}).items():
+        for key, val in _obj(item.get("positions") or {}, "positions", where).items():
             positions[(eid, int(key))] = P1Point.parse(val)
-        for end_key, per_i in (item.get("eta") or {}).items():
-            for i_key, val in per_i.items():
+        for end_key, per_i in _obj(item.get("eta") or {}, "eta", where).items():
+            for i_key, val in _obj(per_i, f"eta.{end_key}", where).items():
                 eta[(eid, int(end_key), int(i_key))] = qi_parse(val)
 
     legs = []
     leg_positions = {}
-    for item in _list(doc.get("legs", []), "legs", "document"):
+    for k, item in enumerate(_list(doc.get("legs", []), "legs", "document")):
+        item = _obj(item, f"legs[{k}]", "document")
         lid = str(_req(item, "id", "leg"))
         legs.append(
             Leg(
@@ -134,9 +153,10 @@ def parse_document(doc: dict):
             leg_positions[lid] = P1Point.parse(item["position"])
 
     sections = {}
-    for vid, per_i in (doc.get("sections") or {}).items():
+    for vid, per_i in _obj(doc.get("sections") or {}, "sections", "document").items():
         out = {}
-        for i_key, item in per_i.items():
+        for i_key, item in _obj(per_i, f"sections.{vid}", "document").items():
+            item = _obj(item, f"sections.{vid}.{i_key}", "document")
             divisor = [
                 (P1Point.parse(str(pt)), int(order)) for pt, order in item.get("divisor", [])
             ]
@@ -161,10 +181,16 @@ def parse_document(doc: dict):
     return graph, data, profile, characters, doc.get("expect")
 
 
+def character_rows(rows):
+    """Character rows as lists of integers; anything else raises a
+    StructuralError naming the field."""
+    return _list(rows, "characters", "document", _int_row)
+
+
 def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
     """Character rows on the graph's node coordinates, lengths checked."""
     index = node_index(graph)
-    rows = _list(rows, "characters", "document", _int_row)
+    rows = character_rows(rows)
     for row in rows:
         if len(row) != len(index):
             raise StructuralError(

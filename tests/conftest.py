@@ -421,6 +421,30 @@ def random_ghost_star(rng: random.Random):
     return g, data
 
 
+def two_ghost_clusters():
+    """A principal component carrying two ghost clusters: the adjacent
+    ghosts g1, g2 on node a, and the lone ghost g3 on node b."""
+    verts = [
+        lm.Vertex("p", 0, (), 2, (2,), "principal"),
+        lm.Vertex("g1", 0, {1}, 0, (0,), "ghost"),
+        lm.Vertex("g2", 0, {1}, 0, (0,), "ghost"),
+        lm.Vertex("g3", 0, {1}, 0, (0,), "ghost"),
+    ]
+    edges = [
+        lm.Edge("a", ("p", "g1"), {1}, contact=(1,)),
+        lm.Edge("t", ("g1", "g2"), {1}, contact=(1,)),
+        lm.Edge("b", ("p", "g3"), {1}, contact=(1,)),
+    ]
+    legs = [
+        lm.Leg("z1", "g1", (0,)),
+        lm.Leg("z2", "g2", (1,)),
+        lm.Leg("z3", "g2", (0,)),
+        lm.Leg("z4", "g3", (1,)),
+        lm.Leg("z5", "g3", (0,)),
+    ]
+    return lm.DecoratedDualGraph(1, 2, verts, edges, legs)
+
+
 def random_map_model(rng: random.Random):
     """A stable model with ghosts, covers, and shared image labels."""
     N = rng.randint(1, 2)

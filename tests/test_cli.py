@@ -4,11 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from logmoduli import cli, lattice, schema
+from logmoduli import cli, graphs, lattice, schema
 
 FIXTURES = os.environ.get(
     "LOGMODULI_FIXTURES",
@@ -20,11 +20,18 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+# the package as this test process imports it, so a child finds the same one
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "logmoduli.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -228,6 +235,53 @@ def test_nested_list_field_is_named(tmp_path, field, mutate):
     assert f"field {field!r} must be a list" in json.loads(proc.stdout)["error"]
 
 
+def test_report_names_a_bad_characters_file(tmp_path):
+    chars = tmp_path / "characters.json"
+    chars.write_text(json.dumps({"characters": 5}))
+    proc = run_cli("report", fixture("two_line_ghost.json"), "--characters", str(chars))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert "field 'characters' must be a list" in json.loads(proc.stdout)["error"]
+
+
+def test_report_drops_ob_when_the_characters_do_not_fit():
+    # rows of the wrong length mean ob does not apply to this graph
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["report", fixture("good_ex1.json"),
+                         "--characters", fixture("characters_good_ex2.json")])
+    assert code == 0
+    assert "ob" not in json.loads(out.getvalue())["parts"]
+
+
+SCALAR_FIELDS = [
+    ("genus", lambda doc: doc["vertices"][0].update(genus="x")),
+    ("c1_log", lambda doc: doc["vertices"][0].update(c1_log=[1])),
+    ("vertices[0]", lambda doc: doc["vertices"].__setitem__(0, 5)),
+    ("positions", lambda doc: doc["edges"][0].update(positions=5)),
+    ("eta", lambda doc: doc["edges"][0].update(eta=5)),
+    ("eta.1", lambda doc: doc["edges"][0].update(eta={"1": 5})),
+    ("sections", lambda doc: doc.update(sections=[{}])),
+]
+
+
+@pytest.mark.parametrize("field, mutate", SCALAR_FIELDS, ids=[f for f, _ in SCALAR_FIELDS])
+def test_scalar_nested_field_is_named_by_every_command(tmp_path, field, mutate):
+    # in process: an exception escaping main is what prints a traceback
+    with open(fixture("two_line_ghost.json")) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in sorted(cli._COMMANDS):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, str(path)])
+        assert code == 2, command
+        assert "Traceback" not in err.getvalue()
+        assert f"field {field!r} must be" in json.loads(out.getvalue())["error"], command
+
+
 # -- one parse per input -------------------------------------------------------
 
 
@@ -259,6 +313,21 @@ def test_report_builds_one_lattice_map(monkeypatch):
         cli.main(["report", fixture("good_ex1.json")])
     assert set(json.loads(out.getvalue())["parts"]) >= {"group", "tropical", "dims", "ob"}
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("command", ["report", "tropical"])
+def test_one_validation_pass_per_graph(monkeypatch, command):
+    passes = []
+    check = graphs._structural_check
+
+    def counting_check(graph):
+        passes.append(graph)
+        check(graph)
+
+    monkeypatch.setattr(graphs, "_structural_check", counting_check)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([command, fixture("good_ex1.json")]) == 0
+    assert len(passes) == 1
 
 
 # -- golden outputs --------------------------------------------------------------

@@ -195,3 +195,50 @@ def test_solutions_of_family_balance_exactly(rng):
             )
             report = lm.validate_graph(decorated)
             assert not any(v.code == "balance" for v in report.violations)
+
+
+def _multinode_graph_with_faults():
+    # a multi-node, a branch entry outside I_m, and an unbalanced vertex
+    return lm.DecoratedDualGraph(
+        2, 2,
+        [lm.Vertex("a", 0, {1}, 0, (1, 0)), lm.Vertex("b", 0, {1}, 0, (1, 0)),
+         lm.Vertex("c", 0, {1}, 0, (-2, 0))],
+        [lm.Edge("m", ("a", "b", "c"), {1}, contacts=((1, 1), (1, 0), (-2, 0)))],
+        [],
+    )
+
+
+def test_multinode_reports_agree_in_either_call_order():
+    g = _multinode_graph_with_faults()
+    plain = lm.validate_graph(g)
+    allowed = lm.validate_graph(g, multinode_allowed=True)
+    g = _multinode_graph_with_faults()
+    assert lm.validate_graph(g, multinode_allowed=True) == allowed
+    assert lm.validate_graph(g) == plain
+    assert plain.codes() == ["balance", "edge-support", "multinode"]
+    assert allowed.violations == tuple(v for v in plain.violations if v.code != "multinode")
+
+
+def test_structural_error_raises_on_every_call():
+    g = lm.DecoratedDualGraph(
+        1, 2, [lm.Vertex("a", 0, {1}, 0, (0,))], [lm.Edge("e", ("a", "x"), {1}, contact=(1,))], []
+    )
+    for _ in range(2):
+        with pytest.raises(StructuralError, match="dangling"):
+            lm.validate_graph(g)
+
+
+def test_an_interrupted_validation_pass_is_not_kept(monkeypatch):
+    g, _ = two_line_ghost(1, 2, 3, 4, 5)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt():
+        raise Interrupted
+
+    monkeypatch.setattr(g, "is_connected", interrupt)
+    with pytest.raises(Interrupted):
+        lm.validate_graph(g)
+    monkeypatch.undo()
+    assert lm.validate_graph(g).valid

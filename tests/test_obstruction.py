@@ -17,6 +17,7 @@ from conftest import (
     good_ex2_character,
     mc_dep,
     random_ghost_star,
+    two_ghost_clusters,
     two_line_branch_characters,
     two_line_characters,
     two_line_ghost,
@@ -403,3 +404,8 @@ def test_collapse_homomorphism_rejects_multinode_graph():
     g2 = lm.DecoratedDualGraph(2, 2, collapsed.vertices + (ghost,), collapsed.edges, [])
     with pytest.raises(InputError, match="multi-node edge not allowed"):
         lm.collapse_homomorphism(g2, ["g"])
+
+
+def test_collapse_homomorphism_rejects_a_disconnected_ghost_set():
+    with pytest.raises(InputError, match="ghost tree is not connected"):
+        lm.collapse_homomorphism(two_ghost_clusters(), ["g1", "g3"])

@@ -3,7 +3,7 @@ import pytest
 import logmoduli as lm
 from logmoduli.errors import InputError
 
-from conftest import good_ex2, mc_dep, random_map_model, two_line_ghost
+from conftest import good_ex2, mc_dep, random_map_model, two_ghost_clusters, two_line_ghost
 
 
 def test_two_line_ghost_reduction_creates_three_branch_multinode():
@@ -287,3 +287,9 @@ def test_first_stage_counts_agree_with_graph_formulas(rng):
         trace = lm.rt_reduce(model)
         assert trace.q_values[0] == lm.q_quantity(model.graph)
         assert trace.genus_by_stage[0] == model.graph.total_genus()
+
+
+def test_two_ghost_clusters_collapse_one_at_a_time():
+    trace = lm.rt_reduce(lm.MapModel(two_ghost_clusters()))
+    assert trace.ghost_deltas == ((("g1", "g2"), 2), (("g3",), 1))
+    assert trace.stage("gamma_prime").nodes == {}

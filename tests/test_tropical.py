@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,44 @@ def test_lp_agrees_with_fourier_motzkin(rng):
         if checked >= 200:
             break
     assert checked >= 200
+
+
+def _row_blowup_graph():
+    """A 10-variable graph on which elimination without Chernikov's rule
+    grew to thousands of rows and did not finish in 20 s."""
+    rng = random.Random(5)
+    for _ in range(34):
+        g = random_balanced_graph(rng, max_vertices=6, cyclic=rng.random() < 0.5)
+    return g
+
+
+def test_fourier_motzkin_finishes_on_a_row_blowup_graph():
+    g = _row_blowup_graph()
+    assert len(lm.tropical._system(g)[0]) == 10
+    start = time.perf_counter()
+    fm = lm.feasible_by_fourier_motzkin(g)
+    assert time.perf_counter() - start < 2
+    assert fm == lm.tropical_feasible(g).feasible
+
+
+def test_fourier_motzkin_agrees_with_lp_up_to_its_cap():
+    rng = random.Random(5)
+    sizes, verdicts = set(), set()
+    for _ in range(120):
+        g = random_balanced_graph(rng, max_vertices=6, cyclic=rng.random() < 0.5)
+        nvars = len(lm.tropical._system(g)[0])
+        if nvars <= 12:
+            feasible = lm.tropical_feasible(g).feasible
+            assert lm.feasible_by_fourier_motzkin(g) == feasible
+            sizes.add(nvars)
+            verdicts.add(feasible)
+    assert max(sizes) == 12 and verdicts == {True, False}
+
+
+def test_fourier_motzkin_row_cap(monkeypatch):
+    monkeypatch.setattr(linprog, "_FM_ROW_CAP", 10)
+    with pytest.raises(SizeCapError, match="10 rows"):
+        lm.feasible_by_fourier_motzkin(_row_blowup_graph())
 
 
 def test_cone_rejects_multinode_graph():
