@@ -9,15 +9,17 @@ one contact vector per branch.  All values are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InputError, StructuralError
+from .errors import InputError, SizeCapError, StructuralError
 
 PRINCIPAL = "principal"
 BUBBLE = "bubble"
 GHOST = "ghost"
 _KINDS = (PRINCIPAL, BUBBLE, GHOST)
+_ENUMERATION_CAP = 100_000  # candidates one decoration enumeration may try
 
 
 def contact_vector(entries: Sequence[int]) -> tuple:
@@ -371,18 +373,22 @@ def _violations(graph: DecoratedDualGraph) -> tuple:
 def _contact_faults(graph: DecoratedDualGraph, e: Edge, vec):
     """(code, message) for each entry of vec, a contact vector on the
     ordinary edge e, that breaks the support or the sign rule: it vanishes
-    outside I_e and is positive toward each end whose stratum lacks it."""
-    s0 = graph.vertex(e.ends[0]).stratum
-    s1 = graph.vertex(e.ends[1]).stratum
+    outside I_e and is positive toward each end whose stratum lacks it.
+    Each entry is judged on its own."""
     for i, s in enumerate(vec, 1):
-        if i not in e.stratum:
-            if s != 0:
-                yield "edge-support", f"entry {i} must vanish outside I_e"
-            continue
-        if i not in s0 and s <= 0:
-            yield "edge-sign", f"entry {i} must be positive toward end 0"
-        if i not in s1 and -s <= 0:
-            yield "edge-sign", f"entry {i} must be positive toward end 1"
+        yield from _entry_faults(graph, e, i, s)
+
+
+def _entry_faults(graph: DecoratedDualGraph, e: Edge, i: int, s: int):
+    """The faults of _contact_faults in entry i, of value s."""
+    if i not in e.stratum:
+        if s != 0:
+            yield "edge-support", f"entry {i} must vanish outside I_e"
+        return
+    if i not in graph.vertex(e.ends[0]).stratum and s <= 0:
+        yield "edge-sign", f"entry {i} must be positive toward end 0"
+    if i not in graph.vertex(e.ends[1]).stratum and -s <= 0:
+        yield "edge-sign", f"entry {i} must be positive toward end 1"
 
 
 def require_valid(graph: DecoratedDualGraph, multinode_allowed: bool = False) -> None:
@@ -517,11 +523,6 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
             CoordinateSolution(i, particular, tuple(basis), sols)
         )
 
-    def signs_ok(assignment):
-        return not any(
-            fault for e in graph.edges for fault in _contact_faults(graph, e, assignment[e.id])
-        )
-
     # assemble
     total_cycles = sum(len(c.cycle_basis) for c in coord_solutions)
     if total_cycles == 0:
@@ -531,7 +532,8 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
             for c in coord_solutions:
                 vec[c.coordinate - 1] = c.particular.get(e.id, 0)
             assignment[e.id] = tuple(vec)
-        if not signs_ok(assignment):
+        if any(fault for e in graph.edges
+               for fault in _contact_faults(graph, e, assignment[e.id])):
             return DecorationSolution(
                 status="none",
                 reason="unique flow solution violates edge sign constraints",
@@ -545,7 +547,16 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
 
     assignments = ()
     if bound is not None:
-        per_coord = [c.solutions or () for c in coord_solutions]
+        # the sign rule judges each coordinate on its own, so filtering each
+        # coordinate's flows first keeps the same assignments in the same
+        # order and leaves no assignment to reject
+        per_coord = [
+            [flows for flows in c.solutions or ()
+             if not any(fault for e in graph.edges
+                        for fault in _entry_faults(graph, e, c.coordinate, flows.get(e.id, 0)))]
+            for c in coord_solutions
+        ]
+        _check_enumeration(len(flows) for flows in per_coord)
         combos = []
         for pick in itertools.product(*per_coord):
             assignment = {}
@@ -554,8 +565,7 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
                 for c, flows in zip(coord_solutions, pick):
                     vec[c.coordinate - 1] = flows.get(e.id, 0)
                 assignment[e.id] = tuple(vec)
-            if signs_ok(assignment):
-                combos.append(assignment)
+            combos.append(assignment)
         assignments = tuple(combos)
     return DecorationSolution(
         status="family",
@@ -607,6 +617,7 @@ def _enumerate_flows(edges, particular, basis, bound):
         cotree = next(iter(cyc))  # first inserted key is the co-tree edge
         base = particular.get(cotree, 0)
         ranges.append(range(-bound - abs(base), bound + abs(base) + 1))
+    _check_enumeration(len(r) for r in ranges)
     for coeffs in itertools.product(*ranges):
         flow = dict(particular)
         for t, cyc in zip(coeffs, basis):
@@ -616,3 +627,12 @@ def _enumerate_flows(edges, particular, basis, bound):
                 flow[eid] = flow.get(eid, 0) + t * mult
         if all(abs(v) <= bound for v in flow.values()):
             yield flow
+
+
+def _check_enumeration(sizes):
+    """Raise SizeCapError when the product of sizes passes _ENUMERATION_CAP."""
+    if math.prod(sizes) > _ENUMERATION_CAP:
+        raise SizeCapError(
+            f"decoration enumeration capped at {_ENUMERATION_CAP} candidates; "
+            "lower the bound"
+        )

@@ -1,15 +1,21 @@
 """Exact rational linear feasibility: phase-1 simplex and Fourier-Motzkin.
 
-Both solvers work over fractions.Fraction throughout; the simplex uses
-Bland's rule so it terminates on every input, and infeasibility comes with a
-Farkas certificate that can be verified independently.
+The simplex uses Bland's rule so it terminates on every input, and
+infeasibility comes with a Farkas certificate that can be verified
+independently.  Its tableau is fraction-free: each row is a list of Python
+ints over one positive row denominator, divided by gcd(denominator, *row)
+after every change, so a row is the unique such representation of its
+rational values.  The sign tests read the integers, the ratio test
+cross-multiplies, and only the returned point and certificate are built as
+Fractions; the pivots are therefore exactly those of a Fraction tableau.
+Fourier-Motzkin works on primitive integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import SizeCapError
@@ -31,101 +37,143 @@ def solve_eq_nonneg(a, b) -> Feasibility:
     equation) with y^T A <= 0 and y^T b > 0 proving emptiness.
     """
     m = len(a)
-    n = len(a[0]) if m else 0
-    a = [[Fraction(x) for x in row] for row in a]
-    b = [Fraction(x) for x in b]
     if m == 0:
         return Feasibility(True, tuple())
-    # flip rows to make b >= 0
+    n = len(a[0])
+    # tableau rows as integers over a positive row denominator; columns
+    # 0..n-1 original, n..n+m-1 artificial, last = rhs, rows flipped to
+    # make b >= 0; row m is the objective, the sum of the artificials,
+    # whose reduced costs start as the sum of the rows
+    rows, dens = [], []
     for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    # tableau with artificial variables; objective = sum of artificials
-    # columns: 0..n-1 original, n..n+m-1 artificial, last = rhs
-    tab = [row[:] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-           for i, row in enumerate(a)]
+        nums, den = _integer_row([*a[i], b[i]])
+        if nums[-1] < 0:
+            nums = [-x for x in nums]
+        artificial = [0] * m
+        artificial[i] = den
+        rows.append(nums[:-1] + artificial + nums[-1:])
+        dens.append(den)
+    obj_den = lcm(*dens)
+    obj = [0] * (n + m + 1)
+    for row, den in zip(rows, dens):
+        f = obj_den // den
+        for j, x in enumerate(row):
+            if x:
+                obj[j] += f * x
+    obj[n:n + m] = [0] * m  # the artificial columns cancel
+    rows.append(obj)
+    dens.append(obj_den)
+    _reduce(rows, dens, m)
     basis = [n + i for i in range(m)]
-    # objective row: minimize sum artificials -> reduced costs
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            obj[j] += tab[i][j]
-    # (artificial columns cancel to 1-1=0 after subtracting e_i rows)
-    for i in range(m):
-        obj[n + i] -= 1
-
-    def pivot(row, col):
-        # zero entries of the pivot row leave every other row unchanged, so
-        # only its nonzero columns are scaled and subtracted
-        prow = tab[row]
-        piv = prow[col]
-        nonzero = [j for j, x in enumerate(prow) if x != 0]
-        for j in nonzero:
-            prow[j] /= piv
-        for r in range(m):
-            f = tab[r][col]
-            if r != row and f != 0:
-                target = tab[r]
-                for j in nonzero:
-                    target[j] -= f * prow[j]
-        f = obj[col]
-        if f != 0:
-            for j in nonzero:
-                obj[j] -= f * prow[j]
-        basis[row] = col
 
     while True:
         # Bland: smallest index with positive reduced cost (maximizing -sum)
-        col = None
-        for j in range(n + m):
-            if obj[j] > 0:
-                col = j
-                break
+        obj = rows[m]
+        col = next((j for j in range(n + m) if obj[j] > 0), None)
         if col is None:
             break
-        # ratio test, Bland tie-break on basis index
+        # ratio test rhs_i / p_i (the row denominators cancel), Bland
+        # tie-break on basis index
         best = None
         for i in range(m):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
+            p = rows[i][col]
+            if p > 0:
+                rhs = rows[i][-1]
+                if best is None or rhs * best_p < best_rhs * p or (
+                        rhs * best_p == best_rhs * p and basis[i] < basis[best]):
+                    best, best_rhs, best_p = i, rhs, p
         if best is None:
             break  # unbounded phase-1 cannot happen; safety
-        pivot(best[1], col)
+        _pivot(rows, dens, best, col)
+        basis[best] = col
 
+    obj, obj_den = rows[m], dens[m]
     if obj[-1] != 0:
         # infeasible: certificate from the objective row's equation multipliers.
         # obj started as sum of rows; pivots keep obj = y0^T(original rows) + const
         # recover y via artificial columns: obj coefficient of artificial i is
         # y_i - 1 (it began at 0 and each row i was added once).
-        y = tuple(obj[n + i] + 1 for i in range(m))
-        return Feasibility(False, None, y)
-    # read off solution; drive artificials out if still basic at zero
+        return Feasibility(False, None, tuple(Fraction(obj[n + i] + obj_den, obj_den)
+                                              for i in range(m)))
+    # read off solution; artificials still basic are at zero
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = tab[i][-1]
+            x[bv] = Fraction(rows[i][-1], dens[i])
     return Feasibility(True, tuple(x))
+
+
+def _integer_row(values):
+    """(nums, den) with value j equal to nums[j] / den, den > 0 and
+    gcd(den, *nums) == 1."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    qs = [Fraction(x) for x in values]
+    den = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
+
+
+def _reduce(rows, dens, k):
+    """Divide row k and its denominator by gcd(den, *row)."""
+    den = dens[k]
+    if den == 1:
+        return
+    g = gcd(den, *rows[k])
+    if g > 1:
+        rows[k] = [x // g for x in rows[k]]
+        dens[k] = den // g
+
+
+def _pivot(rows, dens, r, col):
+    """Pivot the integer tableau on row r, column col, where rows[r][col] > 0.
+
+    Row r becomes its own integers over the denominator rows[r][col], and
+    every other row with a nonzero entry t/d in col becomes
+    (row * p - t * prow) / (d * p), with the pivot row prow over p and the
+    factor gcd(t, p) taken out first.  Each changed row is then reduced,
+    so every row stays the unique representation of its rational values
+    and the entries stay as small as the values allow.
+    """
+    prow = rows[r]
+    g = gcd(*prow)
+    if g > 1:
+        prow = [x // g for x in prow]
+    p = prow[col]
+    rows[r], dens[r] = prow, p
+    # zero entries of the pivot row leave the numerators of other rows as
+    # they are, up to the common scale
+    nonzero = [(j, x) for j, x in enumerate(prow) if x]
+    for k, row in enumerate(rows):
+        t = row[col]
+        if k == r or t == 0:
+            continue
+        g = gcd(t, p)
+        scale, t = p // g, t // g
+        if scale != 1:
+            row = [x * scale for x in row]
+            dens[k] *= scale
+        for j, x in nonzero:
+            row[j] -= t * x
+        rows[k] = row
+        _reduce(rows, dens, k)
 
 
 def feasible_eq_lower(a, b, lower) -> Feasibility:
     """Decide {x : A x = b, x_j >= lower_j}; substitution to x' >= 0."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    shift = [Fraction(l) for l in lower]
-    b2 = []
-    for i in range(m):
-        b2.append(Fraction(b[i]) - sum(Fraction(a[i][j]) * shift[j] for j in range(n)))
+    shift = [_exact(l) for l in lower]
+    b2 = [_exact(bi) - sum(_exact(x) * s for x, s in zip(row, shift) if x)
+          for row, bi in zip(a, b)]
     res = solve_eq_nonneg(a, b2)
-    if res.feasible:
-        if n and res.point is not None:
-            pt = tuple(res.point[j] + shift[j] for j in range(n))
-        else:
-            pt = tuple(shift)
-        return Feasibility(True, pt)
-    return res
+    if not res.feasible:
+        return res
+    if res.point:
+        return Feasibility(True, tuple(x + s for x, s in zip(res.point, shift)))
+    return Feasibility(True, tuple(Fraction(s) for s in shift))
+
+
+def _exact(x):
+    """x itself when it is an int, else x as a Fraction."""
+    return x if isinstance(x, int) else Fraction(x)
 
 
 def verify_farkas(a, b, y) -> bool:
@@ -147,13 +195,14 @@ def fourier_motzkin(ineqs, n) -> bool:
     """Feasibility of {x in Q^n : row . (x,1) >= 0 for each row}.
 
     Rows have length n+1 (affine part last).  Exact; intended as an
-    independent cross-check for small systems.  Each row carries the set of
-    input rows it combines, and by Chernikov's rule a row derived after t
-    eliminations that combines more than t + 1 of them is implied by the
-    others and dropped.  More than _FM_ROW_CAP rows at once raise
-    SizeCapError.
+    independent cross-check for small systems.  Rows are held as primitive
+    integer vectors, the positive multiple with coprime entries.  Each row
+    carries the set of input rows it combines, and by Chernikov's rule a
+    row derived after t eliminations that combines more than t + 1 of them
+    is implied by the others and dropped.  More than _FM_ROW_CAP rows at
+    once raise SizeCapError.
     """
-    rows = [([Fraction(c) for c in r], frozenset((k,))) for k, r in enumerate(ineqs)]
+    rows = [(_primitive(_integer_row(r)[0]), frozenset((k,))) for k, r in enumerate(ineqs)]
     for var in range(n):
         pos, neg, new_rows = [], [], []
         for r, origin in rows:
@@ -172,28 +221,27 @@ def fourier_motzkin(ineqs, n) -> bool:
                 lam = -q[var]
                 mu = p[var]
                 comb = [lam * a + mu * b for a, b in zip(p, q)]
-                comb[var] = Fraction(0)
-                new_rows.append((comb, origin))
+                comb[var] = 0
+                new_rows.append((_primitive(comb), origin))
                 if len(new_rows) > _FM_ROW_CAP:
                     raise SizeCapError(f"fourier-motzkin capped at {_FM_ROW_CAP} rows")
         rows = _dedupe(new_rows)
     return all(r[-1] >= 0 for r, _ in rows)
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries (a zero row as is)."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
 def _dedupe(rows):
-    """Rows scaled to a canonical positive multiple, zero rows dropped; of
-    equal rows the one combining the fewest input rows is kept."""
+    """Zero rows dropped; of equal rows the one combining the fewest input
+    rows is kept."""
     kept = {}
     for r, origin in rows:
-        nz = [abs(x) for x in r if x != 0]
-        if not nz:
+        if not any(r):
             continue
-        g = nz[0]
-        for x in nz[1:]:
-            # rational gcd: scale to make the row canonical
-            g = Fraction(gcd(g.numerator * x.denominator, x.numerator * g.denominator),
-                         g.denominator * x.denominator)
-        key = tuple(x / g for x in r)
-        if key not in kept or len(origin) < len(kept[key]):
-            kept[key] = origin
-    return [(list(key), origin) for key, origin in kept.items()]
+        if r not in kept or len(origin) < len(kept[r]):
+            kept[r] = origin
+    return list(kept.items())

@@ -64,10 +64,36 @@ def _list(value, key, where, item=None):
         raise StructuralError(f"{where}: field {key!r} must hold integers, got {value!r}") from None
 
 
+def _index(key, field, where):
+    """An integer key of an object field, such as an end index in
+    `positions`; anything else raises a StructuralError naming the field."""
+    try:
+        return int(key)
+    except ValueError:
+        raise StructuralError(f"{where}: field {field!r} must have integer keys, got {key!r}") from None
+
+
 def _int_row(value):
     if not isinstance(value, list):
         raise TypeError(value)
     return [int(x) for x in value]
+
+
+def _divisor(value, where):
+    """A section divisor: a list of [point, order] pairs, read as
+    (P1Point, int) pairs."""
+    out = []
+    for entry in _list(value, "divisor", where):
+        try:
+            if not isinstance(entry, list):
+                raise TypeError(entry)
+            point, order = entry
+            out.append((P1Point.parse(str(point)), int(order)))
+        except (TypeError, ValueError, OverflowError):
+            raise StructuralError(
+                f"{where}: field 'divisor' must hold [point, order] pairs, got {entry!r}"
+            ) from None
+    return out
 
 
 def parse_document(doc: dict):
@@ -130,10 +156,11 @@ def parse_document(doc: dict):
             )
         )
         for key, val in _obj(item.get("positions") or {}, "positions", where).items():
-            positions[(eid, int(key))] = P1Point.parse(val)
+            positions[(eid, _index(key, "positions", where))] = P1Point.parse(val)
         for end_key, per_i in _obj(item.get("eta") or {}, "eta", where).items():
+            end = _index(end_key, "eta", where)
             for i_key, val in _obj(per_i, f"eta.{end_key}", where).items():
-                eta[(eid, int(end_key), int(i_key))] = qi_parse(val)
+                eta[(eid, end, _index(i_key, f"eta.{end_key}", where))] = qi_parse(val)
 
     legs = []
     leg_positions = {}
@@ -156,14 +183,12 @@ def parse_document(doc: dict):
     for vid, per_i in _obj(doc.get("sections") or {}, "sections", "document").items():
         out = {}
         for i_key, item in _obj(per_i, f"sections.{vid}", "document").items():
-            item = _obj(item, f"sections.{vid}.{i_key}", "document")
-            divisor = [
-                (P1Point.parse(str(pt)), int(order)) for pt, order in item.get("divisor", [])
-            ]
-            out[int(i_key)] = RationalSection(
-                int(item.get("degree", 0)),
+            field = f"sections.{vid}.{i_key}"
+            item = _obj(item, field, "document")
+            out[_index(i_key, f"sections.{vid}", "document")] = RationalSection(
+                _int(item, "degree", field, 0),
                 qi_parse(item.get("scale", "1")),
-                divisor,
+                _divisor(item.get("divisor", []), field),
             )
         sections[str(vid)] = out
 
@@ -172,13 +197,16 @@ def parse_document(doc: dict):
 
     profile = None
     if doc.get("profile"):
-        profile = parse_profile(doc["profile"])
+        profile = parse_profile(_obj(doc["profile"], "profile", "document"))
 
     characters = None
     if doc.get("characters"):
         characters = characters_on(graph, doc["characters"])
 
-    return graph, data, profile, characters, doc.get("expect")
+    expect = doc.get("expect")
+    if expect is not None:
+        expect = _obj(expect, "expect", "document")
+    return graph, data, profile, characters, expect
 
 
 def character_rows(rows):
@@ -201,22 +229,26 @@ def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
 
 def parse_profile(payload: dict) -> GeometryProfile:
     fams = []
-    for f in _req(payload, "families", "profile"):
+    for k, f in enumerate(_list(_req(payload, "families", "profile"), "families", "profile")):
+        where = f"profile families[{k}]"
+        f = _obj(f, f"families[{k}]", "profile")
         delta = f.get("delta")
         if isinstance(delta, dict):
-            delta = ("linear", int(delta["linear"]))
+            delta = ("linear", _int(delta, "linear", f"{where} delta"))
+        multiplicity = f.get("multiplicity", "all")
         fams.append(
             CurveFamily(
                 label=str(_req(f, "label", "family")),
-                stratum=frozenset(f.get("stratum", [])),
-                c1_tx=int(_req(f, "c1_tx", "family")),
-                dot=tuple(_req(f, "dot", "family")),
+                stratum=frozenset(_list(f.get("stratum", []), "stratum", where, int)),
+                c1_tx=_int(f, "c1_tx", where),
+                dot=tuple(_list(_req(f, "dot", "family"), "dot", where, int)),
                 effective=bool(f.get("effective", True)),
-                multiplicity="all" if f.get("multiplicity", "all") == "all" else tuple(f["multiplicity"]),
+                multiplicity=("all" if multiplicity == "all"
+                              else tuple(_list(multiplicity, "multiplicity", where))),
                 delta=delta,
             )
         )
-    return GeometryProfile(int(_req(payload, "n", "profile")), int(_req(payload, "N", "profile")), tuple(fams))
+    return GeometryProfile(_int(payload, "n", "profile"), _int(payload, "N", "profile"), tuple(fams))
 
 
 def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = None,

@@ -302,20 +302,25 @@ def random_balanced_graph(rng: random.Random, max_vertices=5, N_max=3, cyclic=Fa
     return _balanced_graph(rng, N, strata, edges)
 
 
-def random_cycle_rich_graph(rng: random.Random, nv, N=4):
+def random_cycle_rich_graph(rng: random.Random, nv, N=4, feasible=False):
     """A random spanning tree on nv vertices plus nv // 2 chords, strata
-    {1..depth} with depth uniform in 0..N, balanced as above."""
+    {1..depth} with depth uniform in 0..N, balanced as above.  With
+    feasible, each (vertex, i in its stratum) gets a slope in 1..6 and each
+    contact is the slope difference across its edge, so edge lengths 1 are
+    a tropical witness."""
     strata = [frozenset(range(1, rng.randint(0, N) + 1)) for _ in range(nv)]
     edges = [(idx, rng.randrange(idx)) for idx in range(1, nv)]
     while len(edges) < nv - 1 + nv // 2:
         a, b = rng.randrange(nv), rng.randrange(nv)
         if a != b:
             edges.append((a, b))
-    return _balanced_graph(rng, N, strata, edges)
+    slopes = [{i: rng.randint(1, 6) for i in st} for st in strata] if feasible else None
+    return _balanced_graph(rng, N, strata, edges, slopes)
 
 
-def _balanced_graph(rng, N, strata, edges):
-    """Draw edge contacts and legs, then set vertex pairings to balance."""
+def _balanced_graph(rng, N, strata, edges, slopes=None):
+    """Draw edge contacts (or take slope differences) and legs, then set
+    vertex pairings to balance."""
     nv = len(strata)
     edge_objs = []
     contacts = {}
@@ -323,7 +328,9 @@ def _balanced_graph(rng, N, strata, edges):
         stratum = strata[a] | strata[b]
         vec = []
         for i in range(1, N + 1):
-            if i not in stratum:
+            if slopes is not None:
+                vec.append(slopes[b].get(i, 0) - slopes[a].get(i, 0))
+            elif i not in stratum:
                 vec.append(0)
             elif i not in strata[a]:
                 vec.append(rng.randint(1, 3))

@@ -120,6 +120,15 @@ def test_decorate_tree_unique():
     assert payload["assignments"] == [{"e1": [0, 0], "e2": [0, 0]}]
 
 
+def test_decorate_with_a_large_bound_is_capped():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["decorate", fixture("g_pos_a0_cycle.json"), "--bound", "1000"])
+    assert code == 2
+    assert "Traceback" not in err.getvalue()
+    assert "decoration enumeration capped" in json.loads(out.getvalue())["error"]
+
+
 def test_report_runs_everything():
     proc = run_cli("report", fixture("two_line_ghost.json"))
     payload = json.loads(proc.stdout)
@@ -280,6 +289,41 @@ def test_scalar_nested_field_is_named_by_every_command(tmp_path, field, mutate):
         assert code == 2, command
         assert "Traceback" not in err.getvalue()
         assert f"field {field!r} must be" in json.loads(out.getvalue())["error"], command
+
+
+MALFORMED_DOCUMENTS = [
+    ("positions", "good_ex1.json", lambda doc: doc["edges"][0].update(positions={"x": "0"})),
+    ("eta", "good_ex1.json", lambda doc: doc["edges"][0].update(eta={"x": {"1": "1"}})),
+    ("eta.1", "good_ex1.json", lambda doc: doc["edges"][0].update(eta={"1": {"x": "1"}})),
+    ("profile", "good_ex1.json", lambda doc: doc.update(profile=5)),
+    ("families", "good_ex1.json", lambda doc: doc.update(profile={"families": 5, "n": 2, "N": 2})),
+    ("dot", "mc_issue_profile.json", lambda doc: doc["profile"]["families"][0].update(dot=["x"])),
+    ("linear", "mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][1].update(delta={"linear": "x"})),
+    ("stratum", "mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][0].update(stratum=[[1]])),
+    ("expect", "good_ex1.json", lambda doc: doc.update(expect=5)),
+    ("divisor", "good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(divisor=5)),
+    ("divisor", "good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(divisor=[5])),
+    ("sections.v1", "good_ex2.json", lambda doc: doc["sections"].update(v1={"x": {}})),
+]
+
+
+@pytest.mark.parametrize("field, name, mutate", MALFORMED_DOCUMENTS,
+                         ids=[f"{f}-{k}" for k, (f, _, _) in enumerate(MALFORMED_DOCUMENTS)])
+def test_malformed_key_or_field_is_named_by_every_command(tmp_path, field, name, mutate):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in sorted(cli._COMMANDS):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, str(path)])
+        assert code == 2, command
+        assert "Traceback" not in err.getvalue()
+        assert f"field {field!r} must" in json.loads(out.getvalue())["error"], command
 
 
 # -- one parse per input -------------------------------------------------------

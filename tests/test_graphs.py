@@ -242,3 +242,48 @@ def test_an_interrupted_validation_pass_is_not_kept(monkeypatch):
         lm.validate_graph(g)
     monkeypatch.undo()
     assert lm.validate_graph(g).valid
+
+
+def _unfiltered_assignments(graph, sol):
+    """Every product of the per-coordinate flows, kept when validation finds
+    no edge-sign or edge-support fault in the whole assignment."""
+    kept = []
+    for pick in itertools.product(*(c.solutions or () for c in sol.coordinates)):
+        assignment = {}
+        for e in graph.edges:
+            vec = [0] * graph.N
+            for c, flows in zip(sol.coordinates, pick):
+                vec[c.coordinate - 1] = flows.get(e.id, 0)
+            assignment[e.id] = tuple(vec)
+        decorated = graph.with_edges(
+            [lm.Edge(e.id, e.ends, e.stratum, contact=assignment[e.id]) for e in graph.edges])
+        codes = lm.validate_graph(decorated).codes()
+        if "edge-sign" not in codes and "edge-support" not in codes:
+            kept.append(assignment)
+    return tuple(kept)
+
+
+def test_decoration_families_equal_the_unfiltered_product():
+    rng = random.Random(31)
+    families = 0
+    for _ in range(60):
+        skel = _skeleton(random_balanced_graph(rng, max_vertices=6, cyclic=True))
+        for bound in (1, 2):
+            sol = lm.solve_decorations(skel, bound=bound)
+            if sol.status != "family":
+                continue
+            assert sol.assignments == _unfiltered_assignments(skel, sol)
+            families += bool(sol.assignments)
+    assert families >= 5
+
+
+def test_decoration_enumeration_is_capped():
+    I = frozenset({1, 2})
+    verts = [lm.Vertex(v, 0, I, 0, (0, 0), "ghost") for v in "ab"]
+    edges = [lm.Edge(f"e{k}", ("a", "b"), I) for k in range(3)]
+    g = lm.DecoratedDualGraph(2, 3, verts, edges, [lm.Leg("z", "a", (0, 0))])
+    assert len(lm.solve_decorations(g, bound=1).assignments) == 7 ** 2
+    with pytest.raises(lm.SizeCapError):
+        lm.solve_decorations(g, bound=20)  # 1261 flows per coordinate, 1261^2 pairs
+    with pytest.raises(lm.SizeCapError):
+        lm.solve_decorations(g, bound=10 ** 6)  # (2 * 10^6 + 1)^2 cycle coefficients

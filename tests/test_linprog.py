@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import logmoduli as lm
 from logmoduli import linprog, tropical
 
 from conftest import random_balanced_graph, random_cycle_rich_graph
@@ -88,10 +89,27 @@ def test_sparse_pivots_match_dense_reference_on_random_systems():
         assert linprog.solve_eq_nonneg(a, b) == dense_solve_eq_nonneg(a, b)
 
 
+def test_integer_rows_match_dense_reference_on_fraction_systems():
+    rng = random.Random(20261019)
+
+    def entry(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 6))
+
+    for _ in range(150):
+        m, n = rng.randint(1, 7), rng.randint(1, 8)
+        density = rng.choice((0.3, 0.6, 1.0))
+        a = [[entry(4) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        b = [entry(5) for _ in range(m)]
+        assert linprog.solve_eq_nonneg(a, b) == dense_solve_eq_nonneg(a, b)
+
+
 def test_sparse_pivots_match_dense_reference_on_tropical_systems():
     rng = random.Random(7)
     graphs = [random_balanced_graph(rng, max_vertices=6, cyclic=True) for _ in range(40)]
     graphs += [random_cycle_rich_graph(rng, nv) for nv in (4, 6, 8)]
+    graphs += [random_cycle_rich_graph(rng, nv) for nv in (10, 16, 20)]
+    # the dense reference takes seconds on feasible systems past nv = 10
+    graphs.append(random_cycle_rich_graph(rng, 10, feasible=True))
     feasible = 0
     for g in graphs:
         a, b = _tropical_system(g)
@@ -99,3 +117,23 @@ def test_sparse_pivots_match_dense_reference_on_tropical_systems():
         assert res == dense_solve_eq_nonneg(a, b)
         feasible += res.feasible
     assert 0 < feasible < len(graphs)  # both outcomes are exercised
+
+
+def test_tableau_entries_stay_within_64_bits(monkeypatch):
+    """Every pivot divides the rows it changes by their gcd with the row
+    denominator; the entries of this system then peak at 21 bits, and
+    without that step they pass 64 bits about 50 pivots before the end."""
+    pivot = linprog._pivot
+    pivots = []
+
+    def bounded_pivot(rows, dens, r, col):
+        pivot(rows, dens, r, col)
+        bits = max(abs(x).bit_length() for row in (*rows, dens) for x in row)
+        assert bits <= 64, f"pivot {len(pivots) + 1}: a {bits}-bit tableau entry"
+        pivots.append(bits)
+
+    monkeypatch.setattr(linprog, "_pivot", bounded_pivot)
+    graph = random_cycle_rich_graph(random.Random(12), 20, feasible=True)
+    res = lm.tropical_feasible(graph)
+    assert res.feasible and res.witness.check(graph)
+    assert len(pivots) > 100
