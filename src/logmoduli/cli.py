@@ -12,16 +12,10 @@ import argparse
 import json
 import sys
 
+# each command imports the library modules it calls, so a process loads
+# only what its command needs
 from . import schema
-from .dimension import dimension_report
 from .errors import LogModuliError, StructuralError
-from .graphs import validate_graph, solve_decorations
-from .lattice import build_rho
-from .obstruction import compute_ob
-from .positivity import classify_pair
-from .qi import qi_str
-from .rt import MapModel, rt_reduce, verify_edge_invariant
-from .tropical import cone_sigma, tropical_feasible
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -34,6 +28,8 @@ def _load(path):
 
 
 def run_validate(path, doc, args):
+    from .graphs import validate_graph
+
     graph, _, _, _, _ = doc
     report = validate_graph(graph, multinode_allowed=args.multinode)
     payload = {
@@ -49,6 +45,8 @@ def run_validate(path, doc, args):
 
 
 def run_decorate(path, doc, args):
+    from .graphs import solve_decorations
+
     graph, _, _, _, _ = doc
     sol = solve_decorations(graph, bound=args.bound)
     payload = {
@@ -65,6 +63,8 @@ def run_decorate(path, doc, args):
 
 
 def run_tropical(path, doc, args):
+    from .tropical import cone_sigma, tropical_feasible
+
     graph, _, _, _, _ = doc
     res = tropical_feasible(graph)
     payload = {"command": "tropical", "input": path, "feasible": res.feasible}
@@ -86,6 +86,8 @@ def run_tropical(path, doc, args):
 
 
 def run_group(path, doc, args):
+    from .lattice import build_rho
+
     graph, _, _, _, _ = doc
     lmap = build_rho(graph)
     chars = lmap.character_basis()
@@ -123,6 +125,9 @@ def run_ob(path, doc, args):
 
 
 def _ob_part(path, doc, args, rows):
+    from .obstruction import compute_ob
+    from .qi import qi_str
+
     graph, data, _, characters, _ = doc
     if rows is not None:
         characters = schema.characters_on(graph, rows)
@@ -141,6 +146,8 @@ def _ob_part(path, doc, args, rows):
 
 
 def run_dims(path, doc, args):
+    from .dimension import dimension_report
+
     graph, _, _, _, expect = doc
     cover = (expect or {}).get("cover")
     rep = dimension_report(graph, cover)
@@ -161,6 +168,8 @@ def run_dims(path, doc, args):
 
 
 def run_positivity(path, doc, args):
+    from .positivity import classify_pair
+
     _, _, profile, _, _ = doc
     if profile is None:
         raise StructuralError("document carries no positivity profile")
@@ -184,6 +193,8 @@ def run_positivity(path, doc, args):
 
 
 def run_rt(path, doc, args):
+    from .rt import MapModel, rt_reduce, verify_edge_invariant
+
     graph, _, _, _, _ = doc
     trace = rt_reduce(MapModel(graph))
     ok, failures = verify_edge_invariant(trace)

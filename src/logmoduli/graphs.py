@@ -285,6 +285,8 @@ def _structural_check(graph: DecoratedDualGraph):
             for c in e.contacts:
                 if len(c) != graph.N:
                     raise StructuralError(f"edge {e.id!r}: contact vector length != N")
+        if e.into is not None and len(e.into) != len(e.ends):
+            raise StructuralError(f"edge {e.id!r}: into/ends length mismatch")
         if len(e.ends) > 2 and e.contact is not None:
             raise StructuralError(f"edge {e.id!r}: multi-node must use `contacts`")
     lids = set()

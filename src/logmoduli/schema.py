@@ -8,15 +8,17 @@ ordered by id, so parse-then-serialize is a fixed point byte for byte.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import StructuralError
 from .graphs import DecoratedDualGraph, Edge, Leg, Vertex
 from .lattice import node_index
 from .obstruction import Characters, CurveData
-from .positivity import CurveFamily, GeometryProfile
 from .qi import qi_parse, qi_str
 from .sections import P1Point, RationalSection
+
+if TYPE_CHECKING:
+    from .positivity import GeometryProfile
 
 SCHEMA_VERSION = "1"
 
@@ -62,6 +64,14 @@ def _list(value, key, where, item=None):
         return [item(x) for x in value]
     except (TypeError, ValueError, OverflowError):
         raise StructuralError(f"{where}: field {key!r} must hold integers, got {value!r}") from None
+
+
+def _str(value, key, where):
+    """The value of an optional string field, None when absent or null;
+    anything else raises a StructuralError naming the field."""
+    if value is not None and not isinstance(value, str):
+        raise StructuralError(f"{where}: field {key!r} must be a string or null, got {value!r}")
+    return value
 
 
 def _index(key, field, where):
@@ -120,7 +130,7 @@ def parse_document(doc: dict):
                 c1_log=_int(item, "c1_log", where, 0),
                 degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, int)),
                 kind=item.get("kind", "principal"),
-                image_label=item.get("image_label"),
+                image_label=_str(item.get("image_label"), "image_label", where),
                 cover_degree=_int(item, "cover_degree", where, None),
                 base_degrees=(tuple(_list(base_degrees, "base_degrees", where, int))
                               if base_degrees else None),
@@ -142,7 +152,8 @@ def parse_document(doc: dict):
         labels = item.get("image_labels")
         if labels is not None:
             labels = _obj(labels, "image_labels", where)
-            labels = tuple(labels.get(str(i)) for i in range(len(ends)))
+            labels = tuple(_str(labels.get(str(i)), "image_labels", where)
+                           for i in range(len(ends)))
         edges.append(
             Edge(
                 eid,
@@ -173,7 +184,7 @@ def parse_document(doc: dict):
                 str(_req(item, "vertex", f"leg {lid}")),
                 contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", int),
                 position=item.get("position"),
-                image_label=item.get("image_label"),
+                image_label=_str(item.get("image_label"), "image_label", f"leg {lid}"),
             )
         )
         if item.get("position") is not None:
@@ -228,6 +239,9 @@ def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
 
 
 def parse_profile(payload: dict) -> GeometryProfile:
+    # only documents with a profile need the positivity module
+    from .positivity import CurveFamily, GeometryProfile
+
     fams = []
     for k, f in enumerate(_list(_req(payload, "families", "profile"), "families", "profile")):
         where = f"profile families[{k}]"
@@ -235,6 +249,10 @@ def parse_profile(payload: dict) -> GeometryProfile:
         delta = f.get("delta")
         if isinstance(delta, dict):
             delta = ("linear", _int(delta, "linear", f"{where} delta"))
+        elif delta is not None and (not isinstance(delta, int) or isinstance(delta, bool)):
+            raise StructuralError(
+                f"{where}: field 'delta' must be an integer, null or {{\"linear\": w}}, got {delta!r}"
+            )
         multiplicity = f.get("multiplicity", "all")
         fams.append(
             CurveFamily(
@@ -244,7 +262,7 @@ def parse_profile(payload: dict) -> GeometryProfile:
                 dot=tuple(_list(_req(f, "dot", "family"), "dot", where, int)),
                 effective=bool(f.get("effective", True)),
                 multiplicity=("all" if multiplicity == "all"
-                              else tuple(_list(multiplicity, "multiplicity", where))),
+                              else tuple(_list(multiplicity, "multiplicity", where, int))),
                 delta=delta,
             )
         )

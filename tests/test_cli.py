@@ -306,6 +306,16 @@ MALFORMED_DOCUMENTS = [
     ("divisor", "good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(divisor=5)),
     ("divisor", "good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(divisor=[5])),
     ("sections.v1", "good_ex2.json", lambda doc: doc["sections"].update(v1={"x": {}})),
+    ("image_labels", "mc_dep.json", lambda doc: doc["edges"][0]["image_labels"].update({"0": 5})),
+    ("image_label", "mc_dep.json",
+     lambda doc: next(v for v in doc["vertices"] if "image_label" in v).update(image_label=[1])),
+    ("image_label", "mc_issue_a3_d2.json", lambda doc: doc["legs"][0].update(image_label=7)),
+    ("delta", "hyperplanes_n3_d4.json",
+     lambda doc: doc["profile"]["families"][0].update(delta="x")),
+    ("delta", "mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][0].update(delta=True)),
+    ("multiplicity", "mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][0].update(multiplicity=[[1]])),
 ]
 
 
@@ -324,6 +334,21 @@ def test_malformed_key_or_field_is_named_by_every_command(tmp_path, field, name,
         assert code == 2, command
         assert "Traceback" not in err.getvalue()
         assert f"field {field!r} must" in json.loads(out.getvalue())["error"], command
+
+
+def test_into_flags_must_match_the_ends(tmp_path):
+    with open(fixture("two_line_collapsed.json")) as fh:
+        doc = json.load(fh)
+    edge = next(e for e in doc["edges"] if "into" in e)
+    edge["into"] = edge["into"][:-1]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in sorted(set(cli._COMMANDS) - {"positivity"}):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([command, str(path)])
+        assert code == 2, command
+        assert "into/ends length mismatch" in json.loads(out.getvalue())["error"], command
 
 
 # -- one parse per input -------------------------------------------------------

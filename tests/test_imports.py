@@ -1,0 +1,124 @@
+"""The package's import surface, each check in a fresh interpreter: the CLI
+loads only the modules its command calls, and `import logmoduli` still
+offers every public name and submodule."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+
+import logmoduli
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(logmoduli.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(PACKAGE_ROOT, "logmoduli", "fixtures")
+
+# modules that validate, decorate, group and ob never call
+ANALYSIS_ONLY = {"rt", "positivity", "dimension", "tropical", "linprog"}
+
+# every public name of the package, by defining module
+EXPORTS = {
+    "errors": ["InputError", "LogModuliError", "MissingEtaError", "SizeCapError",
+               "StructuralError"],
+    "graphs": ["BUBBLE", "GHOST", "PRINCIPAL", "DecoratedDualGraph", "Edge", "Leg",
+               "ValidationReport", "Vertex", "solve_decorations", "validate_graph"],
+    "lattice": ["CharacterBasis", "LatticeMap", "build_rho", "build_rho_multinode",
+                "cokernel_characters", "kernel_lattice", "multinode_character_pullback",
+                "node_index"],
+    "obstruction": ["Characters", "CurveData", "GhostConfig", "ObstructionClass", "OV0Result",
+                    "canonical_characters", "collapse_ghost", "collapse_homomorphism",
+                    "compute_ob", "compute_ob_multinode", "compute_o_v0", "flip_edge",
+                    "relation_check"],
+    "dimension": ["DimensionReport", "cover_fiber_dim", "cover_replace_delta",
+                  "dimension_report", "expected_dim_log", "gamma_stratum_dim",
+                  "ghost_collapse_delta", "mc_fiber_dims", "plog_dim", "q_quantity",
+                  "q_upper_bound", "stratum_dim"],
+    "positivity": ["Classification", "CurveFamily", "GeometryProfile", "classify_pair",
+                   "hyperplane_profile"],
+    "qi": ["GaussianRational", "qi_parse", "qi_str"],
+    "rt": ["MapModel", "ReductionTrace", "classify_cluster", "rt_reduce",
+           "verify_edge_invariant"],
+    "sections": ["INF", "P1Point", "RationalSection", "build_section", "leading_coefficient",
+                 "order_vector"],
+    "tropical": ["ConeDescription", "TropicalResult", "TropicalWitness", "cone_sigma",
+                 "feasible_by_fourier_motzkin", "tropical_feasible"],
+}
+SUBMODULES = ["dimension", "errors", "graphs", "intlinalg", "lattice", "linprog",
+              "obstruction", "positivity", "qi", "rt", "sections", "tropical"]
+
+
+def _run(*args, cwd=None):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc
+
+
+def _fresh(code):
+    """Run code in a fresh interpreter and return what it printed as JSON."""
+    return json.loads(_run("-c", code).stdout)
+
+
+def test_cli_import_loads_no_analysis_module():
+    loaded = _fresh("import json, sys, logmoduli.cli; print(json.dumps(sorted(sys.modules)))")
+    assert not {f"logmoduli.{m}" for m in ANALYSIS_ONLY} & set(loaded)
+
+
+def test_validate_command_loads_no_analysis_module():
+    proc = _run("-X", "importtime", "-m", "logmoduli.cli", "validate",
+                os.path.join(FIXTURES, "g0_a0_tree.json"))
+    assert json.loads(proc.stdout)["valid"] is True
+    imported = set(re.findall(r"\|\s*(logmoduli\.\w+)\s*$", proc.stderr, re.M))
+    assert "logmoduli.graphs" in imported
+    assert not {f"logmoduli.{m}" for m in ANALYSIS_ONLY} & imported
+
+
+def test_import_loads_no_submodule():
+    loaded = _fresh("import json, sys, logmoduli; print(json.dumps(sorted(sys.modules)))")
+    assert [m for m in loaded if m.startswith("logmoduli.")] == []
+
+
+def test_every_public_name_resolves_to_its_defining_object():
+    result = _fresh(
+        "import importlib, json, types, logmoduli as lm\n"
+        f"exports = {EXPORTS!r}\n"
+        f"submodules = {SUBMODULES!r}\n"
+        # submodules first: resolving an export imports its module as a side effect
+        "mods = {name: isinstance(getattr(lm, name), types.ModuleType)"
+        " and getattr(lm, name).__name__ == 'logmoduli.' + name for name in submodules}\n"
+        "same = {name: getattr(lm, name) is getattr(importlib.import_module("
+        "'logmoduli.' + mod), name) for mod, names in exports.items() for name in names}\n"
+        "print(json.dumps({'same': same, 'mods': mods, 'all': sorted(lm.__all__),"
+        " 'dir': dir(lm)}))"
+    )
+    exports = sorted(name for names in EXPORTS.values() for name in names)
+    assert (len(exports), len(SUBMODULES)) == (73, 12)
+    assert sorted(result["same"]) == exports and all(result["same"].values())
+    assert sorted(result["mods"]) == SUBMODULES and all(result["mods"].values())
+    assert result["all"] == exports
+    public = [name for name in result["dir"] if not name.startswith("_")]
+    assert sorted(public) == sorted(exports + SUBMODULES)
+
+
+def test_unknown_name_raises_attribute_error():
+    result = _fresh(
+        "import json, logmoduli as lm\n"
+        "try:\n"
+        "    lm.no_such_name\n"
+        "    out = None\n"
+        "except AttributeError as exc:\n"
+        "    out = str(exc)\n"
+        "print(json.dumps([out, hasattr(lm, 'cli'), hasattr(lm, 'schema')]))"
+    )
+    assert result == ["module 'logmoduli' has no attribute 'no_such_name'", False, False]
+
+
+def test_submodule_attribute_resolves_in_a_lone_test_run():
+    # reads lm.tropical before anything imported logmoduli.tropical
+    test = "test_tropical.py::test_fourier_motzkin_finishes_on_a_row_blowup_graph"
+    proc = _run("-m", "pytest", "-q", "-p", "no:cacheprovider", os.path.join(TESTS, test),
+                cwd=os.path.dirname(TESTS))
+    assert "1 passed" in proc.stdout
