@@ -9,6 +9,7 @@ with --format table.  Exit codes: 0 computed, 1 invariant violation found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -279,7 +280,9 @@ def _format_table(payload, out):
     walk("", payload)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(prog="logmoduli", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("inputs", nargs="+", help="input JSON document(s)")
@@ -289,7 +292,11 @@ def main(argv=None) -> int:
     parser.add_argument("--expect-trivial", action="store_true", dest="expect_trivial")
     parser.add_argument("--multinode", action="store_true", help="allow multi-node edges")
     parser.add_argument("--cone", action="store_true", help="include the gluing cone")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     runner = _COMMANDS[args.command]
     code = EXIT_OK

@@ -13,22 +13,68 @@ from dataclasses import dataclass
 from . import intlinalg as il
 from .errors import InputError, StructuralError
 from .graphs import DecoratedDualGraph, require_valid
+from .qi import QI_ONE
 
 
 @dataclass(frozen=True)
-class CharacterBasis:
-    """Rows spanning the integer functionals annihilating the map's image.
+class Characters:
+    """Integer character rows over a labelled coordinate index.
 
-    Rows are in Hermite normal form; the lattice is saturated, so the
+    The character basis of a lattice map has its rows in Hermite normal form
+    on the map's codomain coordinates; the lattice is saturated, so the
     obstruction torus is a genuine (C*)^rank with no torsion part.
     """
 
     rows: tuple
-    t_index: tuple
+    index: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
+        object.__setattr__(self, "index", tuple(self.index))
+
+    @property
+    def t_index(self) -> tuple:
+        """`index`, under the name the character basis first had."""
+        return self.index
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def evaluate(self, raw: dict):
+        values = []
+        for row in self.rows:
+            acc = QI_ONE
+            for key, coef in zip(self.index, row):
+                if coef == 0:
+                    continue
+                if key not in raw:
+                    raise StructuralError(f"character references missing coordinate {key}")
+                acc = acc * raw[key] ** coef
+            values.append(acc)
+        return tuple(values)
+
+    def transported(self, index, image) -> Characters:
+        """The same characters on the coordinates `index`.
+
+        image(k) is a sequence of (sign, key) pairs with each key in
+        `index`: a row's entry at coordinate k is added, times sign, at each
+        of those keys, and an empty image drops coordinate k.
+        """
+        pos = {key: k for k, key in enumerate(index)}
+        rows = []
+        for row in self.rows:
+            out = [0] * len(pos)
+            for key, coef in zip(self.index, row):
+                if coef:
+                    for sign, target in image(key):
+                        out[pos[target]] += sign * coef
+            rows.append(out)
+        return Characters(rows, index)
+
+
+# the name under which the lattice layer first exported its character basis
+CharacterBasis = Characters
 
 
 class LatticeMap:
@@ -41,7 +87,7 @@ class LatticeMap:
         self.graph = graph
         self._rank = None
         self._kernel = None
-        self._left_kernel = None
+        self._characters = None
         self._invariant_factors = None
 
     @property
@@ -58,7 +104,7 @@ class LatticeMap:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = il.rank(self._as_lists()) if self.n_rows and self.n_cols else 0
+            self._rank = il.rank(self._as_lists())
         return self._rank
 
     @property
@@ -72,31 +118,20 @@ class LatticeMap:
     def kernel_basis(self):
         """HNF-canonical integer basis of {x : M x = 0}, rows in D-coords."""
         if self._kernel is None:
-            if self.n_cols == 0:
-                self._kernel = ()
-            elif self.n_rows == 0:
-                self._kernel = tuple(tuple(row) for row in il.identity(self.n_cols))
-            else:
-                self._kernel = tuple(tuple(r) for r in il.kernel(self._as_lists()))
+            # without rows the column count is not in the matrix itself
+            kernel = il.kernel(self._as_lists()) if self.n_rows else il.identity(self.n_cols)
+            self._kernel = tuple(tuple(r) for r in kernel)
         return self._kernel
 
-    def character_basis(self) -> CharacterBasis:
+    def character_basis(self) -> Characters:
         """Saturated basis of {chi : chi o rho = 0} as rows on T-coords."""
-        if self._left_kernel is None:
-            if self.n_rows == 0:
-                self._left_kernel = ()
-            elif self.n_cols == 0:
-                self._left_kernel = tuple(tuple(row) for row in il.identity(self.n_rows))
-            else:
-                self._left_kernel = tuple(tuple(r) for r in il.left_kernel(self._as_lists()))
-        return CharacterBasis(self._left_kernel, self.codomain_index)
+        if self._characters is None:
+            self._characters = Characters(il.left_kernel(self._as_lists()), self.codomain_index)
+        return self._characters
 
     def invariant_factors(self):
         if self._invariant_factors is None:
-            if not self.n_rows or not self.n_cols:
-                self._invariant_factors = ()
-            else:
-                self._invariant_factors = tuple(il.smith_normal_form(self._as_lists()))
+            self._invariant_factors = tuple(il.smith_normal_form(self._as_lists()))
         return self._invariant_factors
 
 
@@ -126,18 +161,21 @@ def node_index(graph: DecoratedDualGraph) -> tuple:
 def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
     """The map from (edge scalings, vertex slopes) to per-node order vectors.
 
-    The column of an edge scaling carries that edge's contact vector; the
-    column of a vertex slope coordinate carries +1 into the blocks of edges
-    leaving the vertex and -1 into those arriving, and 0 on loops.
+    The row (e, i) of an ordinary node is contact_i times the scaling of e,
+    plus the slope of ends[0], minus the slope of ends[1]; on a loop the
+    slopes cancel.  The signed order of branch j of a multi-node is
+    contact_j,i times the branch scaling plus the slope of its vertex, taken
+    with + when the branch runs into the node and - otherwise.
 
     A multi-node block is the sum of its branch lattices modulo the diagonal
-    copy of the node's stratum, realized by the splitting x_j - x_last; each
-    branch keeps its own scaling parameter (it was a full edge before
-    collapsing), so collapse preserves kernel and cokernel ranks.  A 2-branch
-    multi-node therefore carries one more scaling than the ordinary-edge
-    encoding of the same node; the cokernel and character lattice agree
-    between the two encodings, the kernel differs by the pure gauge along the
-    duplicated scaling.
+    copy of the node's stratum, realized by the splitting x_j - x_last: its
+    row ("diff", e, j, i) is the signed order of branch j minus that of the
+    last branch.  Each branch keeps its own scaling parameter (it was a full
+    edge before collapsing), so collapse preserves kernel and cokernel ranks.
+    A 2-branch multi-node therefore carries one more scaling than the
+    ordinary-edge encoding of the same node; the cokernel and character
+    lattice agree between the two encodings, the kernel differs by the pure
+    gauge along the duplicated scaling.
 
     The graph is immutable, so the map is built once and kept on it: every
     later call returns the same map with its cached normal forms.
@@ -157,51 +195,36 @@ def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
         elif e.contact is None:
             raise InputError("all edges must carry contact vectors")
 
-    t_index = []
+    d_index = _domain_index(graph)
+    col = {key: k for k, key in enumerate(d_index)}
+
+    def row_of(terms):
+        """The dense row of the (column key, value) terms; a vertex lacking
+        the coordinate has no slope column, and its term reads 0."""
+        row = [0] * len(d_index)
+        for key, value in terms:
+            if key in col:
+                row[col[key]] += value
+        return row
+
+    def signed_order(e, j, i, sign):
+        s = sign if e.branch_into(j) else -sign
+        return [(("branch", e.id, j), s * e.contacts[j][i - 1]), (("vertex", e.ends[j], i), s)]
+
+    t_index, matrix = [], []
     for e in graph.edges:
         if e.is_multinode:
-            # difference coordinates against the last branch
-            t_index.extend(
-                ("diff", e.id, j, i)
-                for j in range(len(e.ends) - 1)
-                for i in sorted(e.stratum)
-            )
+            last = len(e.ends) - 1
+            for j in range(last):
+                for i in sorted(e.stratum):
+                    t_index.append(("diff", e.id, j, i))
+                    matrix.append(row_of(signed_order(e, j, i, 1) + signed_order(e, last, i, -1)))
         else:
-            t_index.extend((e.id, i) for i in sorted(e.stratum))
-    t_pos = {key: k for k, key in enumerate(t_index)}
-    d_index = _domain_index(graph)
-
-    matrix = [[0] * len(d_index) for _ in t_index]
-
-    def add_branch(e, j, i, col, value):
-        """Add into the quotient coordinates for branch j of multi-node e."""
-        last = len(e.ends) - 1
-        if j < last:
-            matrix[t_pos[("diff", e.id, j, i)]][col] += value
-        else:
-            for jj in range(last):
-                matrix[t_pos[("diff", e.id, jj, i)]][col] -= value
-
-    for col, key in enumerate(d_index):
-        if key[0] == "edge":
-            e = graph.edge(key[1])
             for i in sorted(e.stratum):
-                matrix[t_pos[(e.id, i)]][col] = e.contact[i - 1]
-        elif key[0] == "branch":
-            _, eid, j = key
-            e = graph.edge(eid)
-            sgn = 1 if e.branch_into(j) else -1
-            for i in sorted(e.stratum):
-                add_branch(e, j, i, col, sgn * e.contacts[j][i - 1])
-        else:
-            _, vid, i = key
-            for e, idx in graph.edges_at(vid):
-                if i not in e.stratum:
-                    continue
-                if e.is_multinode:
-                    add_branch(e, idx, i, col, 1 if e.branch_into(idx) else -1)
-                elif e.ends[0] != e.ends[1]:  # loops contribute nothing
-                    matrix[t_pos[(e.id, i)]][col] += 1 if idx == 0 else -1
+                t_index.append((e.id, i))
+                matrix.append(row_of([(("edge", e.id), e.contact[i - 1]),
+                                      (("vertex", e.ends[0], i), 1),
+                                      (("vertex", e.ends[1], i), -1)]))
     graph._lattice_map = LatticeMap(matrix, d_index, t_index, graph)
     return graph._lattice_map
 
@@ -213,7 +236,7 @@ def kernel_lattice(lmap: LatticeMap):
     return lmap.kernel_basis()
 
 
-def cokernel_characters(lmap: LatticeMap) -> CharacterBasis:
+def cokernel_characters(lmap: LatticeMap) -> Characters:
     return lmap.character_basis()
 
 
@@ -226,21 +249,13 @@ def multinode_character_pullback(lmap: LatticeMap):
     lattices between a graph and its ghost collapse; on a graph without
     multi-nodes it returns the character basis unchanged.
     """
-    graph = lmap.graph
-    full_index = node_index(graph)
-    pos = {key: k for k, key in enumerate(full_index)}
-    rows = []
-    for row in lmap.character_basis().rows:
-        out = [0] * len(full_index)
-        for coef, key in zip(row, lmap.codomain_index):
-            if coef == 0:
-                continue
-            if key[0] == "diff":
-                _, eid, j, i = key
-                e = graph.edge(eid)
-                out[pos[(eid, j, i)]] += coef
-                out[pos[(eid, len(e.ends) - 1, i)]] -= coef
-            else:
-                out[pos[key]] += coef
-        rows.append(tuple(out))
-    return tuple(rows), full_index
+    last = {e.id: len(e.ends) - 1 for e in lmap.graph.edges if e.is_multinode}
+
+    def image(key):
+        if len(key) == 4:  # ("diff", edge id, branch, i)
+            _, eid, j, i = key
+            return ((1, (eid, j, i)), (-1, (eid, last[eid], i)))
+        return ((1, key),)
+
+    chars = lmap.character_basis().transported(node_index(lmap.graph), image)
+    return chars.rows, chars.index

@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from . import intlinalg as il
 from .errors import InputError, MissingEtaError, StructuralError
 from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, _components, require_valid
-from .lattice import build_rho, multinode_character_pullback
-from .qi import QI_ONE, GaussianRational
+from .lattice import Characters, build_rho, multinode_character_pullback, node_index
+from .qi import GaussianRational
 from .sections import P1Point, RationalSection, build_section, leading_coefficient
 
 
@@ -31,32 +32,6 @@ class CurveData:
     leg_positions: Dict[str, P1Point] = field(default_factory=dict)
     sections: Dict[str, Dict[int, RationalSection]] = field(default_factory=dict)
     eta: Dict[tuple, GaussianRational] = field(default_factory=dict)  # (edge id, end idx, i)
-
-
-class Characters:
-    """Integer character rows over a labelled coordinate index."""
-
-    def __init__(self, rows, index):
-        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
-        self.index = tuple(index)
-        self._pos = {key: k for k, key in enumerate(self.index)}
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def evaluate(self, raw: Dict[tuple, GaussianRational]):
-        values = []
-        for row in self.rows:
-            acc = QI_ONE
-            for key, coef in zip(self.index, row):
-                if coef == 0:
-                    continue
-                if key not in raw:
-                    raise StructuralError(f"character references missing coordinate {key}")
-                acc = acc * raw[key] ** coef
-            values.append(acc)
-        return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -212,19 +187,14 @@ compute_ob_multinode = compute_ob
 
 
 def _require_diagonal_killing(graph, chars: Characters):
-    for e in graph.edges:
-        if not e.is_multinode:
-            continue
-        for i in sorted(e.stratum):
-            for row in chars.rows:
-                total = 0
-                for key, coef in zip(chars.index, row):
-                    if len(key) == 3 and key[0] == e.id and key[2] == i:
-                        total += coef
-                if total != 0:
-                    raise InputError(
-                        f"character does not kill the diagonal of multi-node {e.id!r}"
-                    )
+    multinodes = [e for e in graph.edges if e.is_multinode]
+    diagonal = {(e.id, j, i): (e.id, i)
+                for e in multinodes for j in range(len(e.ends)) for i in e.stratum}
+    index = [(e.id, i) for e in multinodes for i in sorted(e.stratum)]
+    sums = chars.transported(index, lambda key: ((1, diagonal[key]),) if key in diagonal else ())
+    for k, (eid, _) in enumerate(index):
+        if any(row[k] for row in sums.rows):
+            raise InputError(f"character does not kill the diagonal of multi-node {eid!r}")
 
 
 @dataclass(frozen=True)
@@ -300,17 +270,11 @@ def _is_ghostlike(v: Vertex) -> bool:
 def orient_out_of(graph: DecoratedDualGraph, data: Optional[CurveData], vid: str):
     """Flip edges at a vertex so the vertex is ends[0] of each; no loops."""
     g, d = graph, data
-    for e, idx in list(graph.edges_at(vid)):
+    for e, idx in graph.edges_at(vid):
         if e.ends[0] == e.ends[1]:
             raise InputError(f"vertex {vid!r} carries a loop")
-    changed = True
-    while changed:
-        changed = False
-        for e, idx in g.edges_at(vid):
-            if idx == 1:
-                g, d = flip_edge(g, d, e.id)
-                changed = True
-                break
+        if idx == 1:
+            g, d = flip_edge(g, d, e.id)
     return g, d
 
 
@@ -428,7 +392,7 @@ def relation_check(
     ftofo_vals = o.ftofo_values(chars_bar)
     lemma_vals = o.lemma_values(chars_bar)
 
-    pulled = _pullback_characters_to_full(norm_graph, ghost_id, chars_bar)
+    pulled = _pullback_characters_to_full(norm_graph, ghost_id, "m", chars_bar)
     ob = compute_ob(norm_graph, norm_data, pulled)
 
     expected = tuple(b * f for b, f in zip(ob_bar.values, ftofo_vals))
@@ -437,7 +401,7 @@ def relation_check(
     return RelationReport(holds, ob.values, ob_bar.values, ftofo_vals, lemma_vals)
 
 
-def _pullback_characters_to_full(graph, ghost_id, chars_bar: Characters) -> Characters:
+def _pullback_characters_to_full(graph, ghost_id, node_id, chars_bar: Characters) -> Characters:
     """Rewrite multi-node branch coordinates as the original edge coordinates.
 
     The raw edge entry (eta_ghost/eta_surv here) is exactly the product of
@@ -446,24 +410,8 @@ def _pullback_characters_to_full(graph, ghost_id, chars_bar: Characters) -> Char
     the full lattice map, hence is a genuine character.
     """
     branch_edges = sorted((e for e, _ in graph.edges_at(ghost_id)), key=lambda e: e.id)
-    index = []
-    for e in graph.edges:
-        index.extend((e.id, i) for i in sorted(e.stratum))
-    pos = {key: k for k, key in enumerate(index)}
-    rows = []
-    for row in chars_bar.rows:
-        out = [0] * len(index)
-        for key, coef in zip(chars_bar.index, row):
-            if coef == 0:
-                continue
-            if len(key) == 3:
-                _, j, i = key
-                e = branch_edges[j]
-                out[pos[(e.id, i)]] += coef
-            else:
-                out[pos[key]] += coef
-        rows.append(out)
-    return Characters(rows, index)
+    edge_of = {(node_id, j, i): (e.id, i) for j, e in enumerate(branch_edges) for i in e.stratum}
+    return chars_bar.transported(node_index(graph), lambda key: ((1, edge_of.get(key, key)),))
 
 
 @dataclass(frozen=True)
@@ -523,12 +471,12 @@ def collapse_homomorphism(graph: DecoratedDualGraph, tree_ids) -> CollapseHomomo
     rho_exp = build_rho(graph)
     rho_col = build_rho(collapsed)
     exp_chars = rho_exp.character_basis()
-    survivors = [key for key in rho_exp.codomain_index if key[0] not in internal_ids]
-    pos = {key: k for k, key in enumerate(rho_exp.codomain_index)}
-    restricted = [tuple(row[pos[key]] for key in survivors) for row in exp_chars.rows]
-    from . import intlinalg as il
-
-    rk = il.rank([list(r) for r in restricted]) if restricted else 0
+    # the surviving nodes are the collapsed graph's nodes, in the same order
+    survivors = set(rho_col.codomain_index)
+    restricted = exp_chars.transported(
+        rho_col.codomain_index, lambda key: ((1, key),) if key in survivors else ()
+    ).rows
+    rk = il.rank([list(r) for r in restricted])
     rank_drop = rho_col.cokernel_rank - rho_exp.cokernel_rank
     surjective = rk == exp_chars.rank and rank_drop >= 0
-    return CollapseHomomorphism(collapsed, new_id, tuple(restricted), surjective, rank_drop)
+    return CollapseHomomorphism(collapsed, new_id, restricted, surjective, rank_drop)

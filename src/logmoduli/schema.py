@@ -38,10 +38,17 @@ def _int(obj, key, where, default=_REQUIRED):
     if default is not _REQUIRED and obj.get(key) is None:
         return default
     value = _req(obj, key, where)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}") from None
+    if type(value) is not int:  # no float, string or bool is read as an integer
+        raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _integer(value):
+    """value itself when it is a JSON integer; floats, strings and booleans
+    raise TypeError rather than being coerced."""
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
 
 
 def _obj(value, key, where):
@@ -53,7 +60,7 @@ def _obj(value, key, where):
 
 
 def _list(value, key, where, item=None):
-    """The value of a list field, each entry converted by item (`int`, or
+    """The value of a list field, each entry checked by item (`_integer`, or
     `_int_row` for rows of integers); anything else raises a StructuralError
     naming the field."""
     if not isinstance(value, list):
@@ -62,7 +69,7 @@ def _list(value, key, where, item=None):
         return value
     try:
         return [item(x) for x in value]
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
         raise StructuralError(f"{where}: field {key!r} must hold integers, got {value!r}") from None
 
 
@@ -86,7 +93,7 @@ def _index(key, field, where):
 def _int_row(value):
     if not isinstance(value, list):
         raise TypeError(value)
-    return [int(x) for x in value]
+    return [_integer(x) for x in value]
 
 
 def _divisor(value, where):
@@ -98,7 +105,7 @@ def _divisor(value, where):
             if not isinstance(entry, list):
                 raise TypeError(entry)
             point, order = entry
-            out.append((P1Point.parse(str(point)), int(order)))
+            out.append((P1Point.parse(str(point)), _integer(order)))
         except (TypeError, ValueError, OverflowError):
             raise StructuralError(
                 f"{where}: field 'divisor' must hold [point, order] pairs, got {entry!r}"
@@ -126,13 +133,13 @@ def parse_document(doc: dict):
             Vertex(
                 id=vid,
                 genus=_int(item, "genus", where, 0),
-                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, int)),
+                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, _integer)),
                 c1_log=_int(item, "c1_log", where, 0),
-                degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, int)),
+                degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, _integer)),
                 kind=item.get("kind", "principal"),
                 image_label=_str(item.get("image_label"), "image_label", where),
                 cover_degree=_int(item, "cover_degree", where, None),
-                base_degrees=(tuple(_list(base_degrees, "base_degrees", where, int))
+                base_degrees=(tuple(_list(base_degrees, "base_degrees", where, _integer))
                               if base_degrees else None),
                 base_c1_log=_int(item, "base_c1_log", where, None),
             )
@@ -158,8 +165,8 @@ def parse_document(doc: dict):
             Edge(
                 eid,
                 ends,
-                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, int)),
-                contact=_list(contact, "contact", where, int) if contact is not None else None,
+                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, _integer)),
+                contact=_list(contact, "contact", where, _integer) if contact is not None else None,
                 contacts=(_list(contacts, "contacts", where, _int_row)
                           if contacts is not None else None),
                 into=_list(into, "into", where) if into is not None else None,
@@ -182,7 +189,7 @@ def parse_document(doc: dict):
             Leg(
                 lid,
                 str(_req(item, "vertex", f"leg {lid}")),
-                contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", int),
+                contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", _integer),
                 position=item.get("position"),
                 image_label=_str(item.get("image_label"), "image_label", f"leg {lid}"),
             )
@@ -217,7 +224,19 @@ def parse_document(doc: dict):
     expect = doc.get("expect")
     if expect is not None:
         expect = _obj(expect, "expect", "document")
+        if expect.get("cover") is not None:
+            _cover(expect["cover"])
     return graph, data, profile, characters, expect
+
+
+def _cover(value):
+    """Check the multiple-cover expectation read by `dims`: an object with
+    integer d, l, k and c1_log_base and an optional integer depth."""
+    cover = _obj(value, "cover", "expect")
+    for key in ("d", "l", "k", "c1_log_base"):
+        _int(cover, key, "expect.cover")
+    if "depth" in cover:
+        _int(cover, "depth", "expect.cover")
 
 
 def character_rows(rows):
@@ -257,12 +276,12 @@ def parse_profile(payload: dict) -> GeometryProfile:
         fams.append(
             CurveFamily(
                 label=str(_req(f, "label", "family")),
-                stratum=frozenset(_list(f.get("stratum", []), "stratum", where, int)),
+                stratum=frozenset(_list(f.get("stratum", []), "stratum", where, _integer)),
                 c1_tx=_int(f, "c1_tx", where),
-                dot=tuple(_list(_req(f, "dot", "family"), "dot", where, int)),
+                dot=tuple(_list(_req(f, "dot", "family"), "dot", where, _integer)),
                 effective=bool(f.get("effective", True)),
                 multiplicity=("all" if multiplicity == "all"
-                              else tuple(_list(multiplicity, "multiplicity", where, int))),
+                              else tuple(_list(multiplicity, "multiplicity", where, _integer))),
                 delta=delta,
             )
         )

@@ -151,11 +151,11 @@ def feasible_by_fourier_motzkin(graph: DecoratedDualGraph) -> bool:
         return True
     ineqs = []
     for row in rows:
-        ineqs.append([Fraction(c) for c in row] + [Fraction(0)])
-        ineqs.append([-Fraction(c) for c in row] + [Fraction(0)])
+        ineqs.append(row + [0])
+        ineqs.append([-c for c in row] + [0])
     for j in range(len(vars_)):
-        r = [Fraction(0)] * (len(vars_) + 1)
-        r[j] = Fraction(1)
-        r[-1] = Fraction(-1)  # x_j - 1 >= 0
+        r = [0] * (len(vars_) + 1)
+        r[j] = 1
+        r[-1] = -1  # x_j - 1 >= 0
         ineqs.append(r)
     return linprog.fourier_motzkin(ineqs, len(vars_))

@@ -316,6 +316,16 @@ MALFORMED_DOCUMENTS = [
      lambda doc: doc["profile"]["families"][0].update(delta=True)),
     ("multiplicity", "mc_issue_profile.json",
      lambda doc: doc["profile"]["families"][0].update(multiplicity=[[1]])),
+    ("cover", "good_ex1.json", lambda doc: doc["expect"].update(cover=5)),
+    ("l", "good_ex1.json",
+     lambda doc: doc["expect"].update(cover={"d": 2, "l": "x", "k": 2, "c1_log_base": 1})),
+    ("depth", "good_ex1.json",
+     lambda doc: doc["expect"].update(cover={"d": 2, "l": 1, "k": 2, "c1_log_base": 1,
+                                             "depth": 1.5})),
+    ("N", "good_ex1.json", lambda doc: doc.update(N=2.5)),
+    ("genus", "good_ex1.json", lambda doc: doc["vertices"][0].update(genus=0.9)),
+    ("genus", "good_ex1.json", lambda doc: doc["vertices"][0].update(genus=True)),
+    ("stratum", "good_ex1.json", lambda doc: doc["vertices"][0].update(stratum=["1"])),
 ]
 
 
@@ -334,6 +344,25 @@ def test_malformed_key_or_field_is_named_by_every_command(tmp_path, field, name,
         assert code == 2, command
         assert "Traceback" not in err.getvalue()
         assert f"field {field!r} must" in json.loads(out.getvalue())["error"], command
+
+
+def test_cover_expectation_is_read_or_its_missing_field_named(tmp_path):
+    with open(fixture("good_ex1.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "doc.json"
+    doc["expect"]["cover"] = {"d": 2, "l": 1, "k": 2, "c1_log_base": 1}
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["dims", str(path)]) == 0
+    assert json.loads(out.getvalue())["d_fiber"] == 2
+    doc["expect"]["cover"] = {"d": 2}
+    path.write_text(json.dumps(doc))
+    for command in ("dims", "report"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([command, str(path)]) == 2
+        assert "missing field 'l'" in json.loads(out.getvalue())["error"]
 
 
 def test_into_flags_must_match_the_ends(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -13,6 +14,7 @@ from conftest import (
     mc_issue,
     random_balanced_graph,
     random_cycle_rich_graph,
+    random_ghost_star,
     two_line_ghost,
     zero_class_graph,
 )
@@ -284,3 +286,66 @@ def test_first_betti_counts_multinodes_as_trees():
     assert first_betti_number("ab", [("a", "a")]) == 1
     g, data = two_line_ghost(1, 2, 3, 4, 5)
     assert g.first_betti() == 0 == _collapse(g, data).first_betti()
+
+
+def _rho_row_by_definition(graph, domain_index, key):
+    """The row of rho at node coordinate key: contact_i times the edge's
+    scaling plus the slope of ends[0] minus that of ends[1] for an ordinary
+    node (e, i); for ("diff", e, j, i) the signed order of branch j minus that
+    of the last branch, a branch's order being its contact times its scaling
+    plus the slope of its vertex, with + when it runs into the node."""
+    row = dict.fromkeys(domain_index, 0)
+
+    def add(column, value):
+        if column in row:  # a vertex outside coordinate i has no slope there
+            row[column] += value
+
+    if len(key) == 2:
+        eid, i = key
+        e = graph.edge(eid)
+        add(("edge", eid), e.contact[i - 1])
+        add(("vertex", e.ends[0], i), 1)
+        add(("vertex", e.ends[1], i), -1)
+    else:
+        _, eid, j, i = key
+        e = graph.edge(eid)
+        for branch, sign in ((j, 1), (len(e.ends) - 1, -1)):
+            if not e.branch_into(branch):
+                sign = -sign
+            add(("branch", eid, branch), sign * e.contacts[branch][i - 1])
+            add(("vertex", e.ends[branch], i), sign)
+    return tuple(row.values())
+
+
+def _collapsed_ghost_star(rng, reorient):
+    """The ghost collapse of a random ghost star; with reorient, its branch
+    vertices take random coordinates of the node's stratum (so their slopes
+    enter the node's rows) and its branches run into or out of the node at
+    random."""
+    g, data = random_ghost_star(rng)
+    collapsed = lm.collapse_ghost(g, data, "g0")[0]
+    if not reorient:
+        return collapsed
+    (m,) = [e for e in collapsed.edges if e.is_multinode]
+    verts = [dataclasses.replace(v, stratum={i for i in m.stratum if rng.random() < 0.5})
+             for v in collapsed.vertices]
+    m = dataclasses.replace(m, into=[rng.random() < 0.5 for _ in m.ends])
+    edges = [m if e.id == m.id else e for e in collapsed.edges]
+    return lm.DecoratedDualGraph(collapsed.N, collapsed.n, verts, edges, collapsed.legs)
+
+
+def test_build_rho_rows_match_their_definition():
+    rng = random.Random(15)
+    graphs = [random_balanced_graph(rng, max_vertices=6, cyclic=True) for _ in range(60)]
+    graphs += [_collapsed_ghost_star(rng, reorient=k % 2 == 1) for k in range(40)]
+    for g in graphs:
+        rho = lm.build_rho(g)
+        for key, row in zip(rho.codomain_index, rho.matrix):
+            assert row == _rho_row_by_definition(g, rho.domain_index, key), key
+        chars = lm.canonical_characters(g)
+        pos = {key: k for k, key in enumerate(chars.index)}
+        for e in g.edges:
+            if e.is_multinode:
+                for i in e.stratum:
+                    for r in chars.rows:
+                        assert sum(r[pos[(e.id, j, i)]] for j in range(len(e.ends))) == 0

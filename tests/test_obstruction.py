@@ -409,3 +409,28 @@ def test_collapse_homomorphism_rejects_multinode_graph():
 def test_collapse_homomorphism_rejects_a_disconnected_ghost_set():
     with pytest.raises(InputError, match="ghost tree is not connected"):
         lm.collapse_homomorphism(two_ghost_clusters(), ["g1", "g3"])
+
+
+def test_a_character_off_a_multinode_diagonal_is_refused_naming_the_first_node():
+    from logmoduli.obstruction import _require_diagonal_killing
+
+    verts = [lm.Vertex(v, 0, (), 0, (0, 0)) for v in "abc"]
+    edges = [lm.Edge("m1", ("a", "b", "c"), {1, 2}, contacts=((0, 0),) * 3),
+             lm.Edge("m2", ("a", "b"), {1}, contacts=((0, 0),) * 2)]
+    g = lm.DecoratedDualGraph(2, 2, verts, edges, [])
+    index = lm.node_index(g)
+
+    def row(**entries):
+        # entries keyed "m1_0_2" for the coordinate ("m1", 0, 2)
+        out = [0] * len(index)
+        for name, coef in entries.items():
+            eid, j, i = name.split("_")
+            out[index.index((eid, int(j), int(i)))] = coef
+        return out
+
+    _require_diagonal_killing(g, lm.Characters([row(m1_0_2=1, m1_2_2=-1), row(m2_0_1=3, m2_1_1=-3)], index))
+    for rows, named in [([row(m2_0_1=1)], "m2"),
+                        ([row(m2_0_1=1), row(m1_1_1=1)], "m1"),
+                        ([row(m1_0_2=1, m1_1_2=1)], "m1")]:
+        with pytest.raises(InputError, match=f"multi-node '{named}'"):
+            _require_diagonal_killing(g, lm.Characters(rows, index))
