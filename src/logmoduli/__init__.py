@@ -15,7 +15,8 @@ import sys as _sys
 # defining module -> the names the package exports from it
 _EXPORTS = {
     "errors": (
-        "InputError", "LogModuliError", "MissingEtaError", "SizeCapError", "StructuralError",
+        "InconsistencyError", "InputError", "LogModuliError", "MissingEtaError", "SizeCapError",
+        "StructuralError",
     ),
     "graphs": (
         "BUBBLE", "GHOST", "PRINCIPAL", "DecoratedDualGraph", "Edge", "Leg",

@@ -2,8 +2,8 @@
 
 Commands: validate | decorate | tropical | group | ob | dims | positivity |
 rt | report.  Output is canonical JSON by default or an aligned text table
-with --format table.  Exit codes: 0 computed, 1 invariant violation found,
-2 input error.
+with --format table.  Exit codes: 0 computed, 1 invariant violation found
+(in the input, or an internal inconsistency of the program), 2 input error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 # each command imports the library modules it calls, so a process loads
 # only what its command needs
 from . import schema
-from .errors import LogModuliError, StructuralError
+from .errors import InconsistencyError, LogModuliError, StructuralError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -303,6 +303,8 @@ def main(argv=None) -> int:
     for path in args.inputs:
         try:
             payload, c = runner(path, _load(path), args)
+        except InconsistencyError as exc:  # the program is at fault, not the input
+            payload, c = {"command": args.command, "input": path, "error": str(exc)}, EXIT_VIOLATION
         except (LogModuliError, OSError) as exc:
             payload, c = {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
         if args.format == "json":

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError, LogModuliError
+from .errors import InconsistencyError, InputError
 from .graphs import DecoratedDualGraph
 from .lattice import build_rho
 
@@ -67,7 +67,7 @@ def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
     route2 -= lmap.cokernel_rank
 
     if route1 != route2:
-        raise LogModuliError(
+        raise InconsistencyError(
             f"internal inconsistency: stratum dimension routes disagree ({route1} vs {route2})"
         )
     return 2 * route1 if real else route1

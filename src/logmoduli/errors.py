@@ -27,3 +27,8 @@ class MissingEtaError(InputError):
 
 class SizeCapError(InputError):
     """A desk-scale operation was asked to exceed its size threshold."""
+
+
+class InconsistencyError(LogModuliError):
+    """Two routes to the same quantity disagree: a fault of this package,
+    not of its input."""

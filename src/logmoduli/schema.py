@@ -43,10 +43,32 @@ def _int(obj, key, where, default=_REQUIRED):
     return value
 
 
+def _string(obj, key, where):
+    """A required string field; no number or list is read as a string."""
+    value = _req(obj, key, where)
+    if not isinstance(value, str):
+        raise StructuralError(f"{where}: field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _integer(value):
     """value itself when it is a JSON integer; floats, strings and booleans
     raise TypeError rather than being coerced."""
     if type(value) is not int:
+        raise TypeError(value)
+    return value
+
+
+def _text(value):
+    """value itself when it is a JSON string, else TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _boolean(value):
+    """value itself when it is a JSON boolean, else TypeError."""
+    if type(value) is not bool:
         raise TypeError(value)
     return value
 
@@ -59,10 +81,11 @@ def _obj(value, key, where):
     return value
 
 
-def _list(value, key, where, item=None):
-    """The value of a list field, each entry checked by item (`_integer`, or
-    `_int_row` for rows of integers); anything else raises a StructuralError
-    naming the field."""
+def _list(value, key, where, item=None, kind="integers"):
+    """The value of a list field, each entry checked by item (`_integer`,
+    `_int_row` for rows of integers, `_text` or `_boolean`, with kind naming
+    what it accepts); anything else raises a StructuralError naming the
+    field."""
     if not isinstance(value, list):
         raise StructuralError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
     if item is None:
@@ -70,7 +93,7 @@ def _list(value, key, where, item=None):
     try:
         return [item(x) for x in value]
     except TypeError:
-        raise StructuralError(f"{where}: field {key!r} must hold integers, got {value!r}") from None
+        raise StructuralError(f"{where}: field {key!r} must hold {kind}, got {value!r}") from None
 
 
 def _str(value, key, where):
@@ -126,7 +149,7 @@ def parse_document(doc: dict):
     vertices = []
     for k, item in enumerate(_list(doc.get("vertices", []), "vertices", "document")):
         item = _obj(item, f"vertices[{k}]", "document")
-        vid = str(_req(item, "id", "vertex"))
+        vid = _string(item, "id", "vertex")
         where = f"vertex {vid}"
         base_degrees = item.get("base_degrees")
         vertices.append(
@@ -150,9 +173,9 @@ def parse_document(doc: dict):
     eta = {}
     for k, item in enumerate(_list(doc.get("edges", []), "edges", "document")):
         item = _obj(item, f"edges[{k}]", "document")
-        eid = str(_req(item, "id", "edge"))
+        eid = _string(item, "id", "edge")
         where = f"edge {eid}"
-        ends = tuple(_list(_req(item, "ends", where), "ends", where, str))
+        ends = tuple(_list(_req(item, "ends", where), "ends", where, _text, "strings"))
         contact = item.get("contact")
         contacts = item.get("contacts")
         into = item.get("into")
@@ -169,7 +192,7 @@ def parse_document(doc: dict):
                 contact=_list(contact, "contact", where, _integer) if contact is not None else None,
                 contacts=(_list(contacts, "contacts", where, _int_row)
                           if contacts is not None else None),
-                into=_list(into, "into", where) if into is not None else None,
+                into=_list(into, "into", where, _boolean, "booleans") if into is not None else None,
                 image_labels=labels,
             )
         )
@@ -184,11 +207,11 @@ def parse_document(doc: dict):
     leg_positions = {}
     for k, item in enumerate(_list(doc.get("legs", []), "legs", "document")):
         item = _obj(item, f"legs[{k}]", "document")
-        lid = str(_req(item, "id", "leg"))
+        lid = _string(item, "id", "leg")
         legs.append(
             Leg(
                 lid,
-                str(_req(item, "vertex", f"leg {lid}")),
+                _string(item, "vertex", f"leg {lid}"),
                 contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", _integer),
                 position=item.get("position"),
                 image_label=_str(item.get("image_label"), "image_label", f"leg {lid}"),
@@ -275,7 +298,7 @@ def parse_profile(payload: dict) -> GeometryProfile:
         multiplicity = f.get("multiplicity", "all")
         fams.append(
             CurveFamily(
-                label=str(_req(f, "label", "family")),
+                label=_string(f, "label", "family"),
                 stratum=frozenset(_list(f.get("stratum", []), "stratum", where, _integer)),
                 c1_tx=_int(f, "c1_tx", where),
                 dot=tuple(_list(_req(f, "dot", "family"), "dot", where, _integer)),

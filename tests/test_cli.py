@@ -326,6 +326,15 @@ MALFORMED_DOCUMENTS = [
     ("genus", "good_ex1.json", lambda doc: doc["vertices"][0].update(genus=0.9)),
     ("genus", "good_ex1.json", lambda doc: doc["vertices"][0].update(genus=True)),
     ("stratum", "good_ex1.json", lambda doc: doc["vertices"][0].update(stratum=["1"])),
+    ("into", "good_ex1.json", lambda doc: doc["edges"][0].update(into=["x", "y"])),
+    ("into", "two_line_collapsed.json",
+     lambda doc: next(e for e in doc["edges"] if "into" in e).update(into=[0, 1, 1])),
+    ("id", "good_ex1.json", lambda doc: doc["vertices"][0].update(id=[1])),
+    ("id", "good_ex1.json", lambda doc: doc["edges"][0].update(id=7)),
+    ("id", "good_ex1.json", lambda doc: doc["legs"][0].update(id=None)),
+    ("ends", "good_ex1.json", lambda doc: doc["edges"][0].update(ends=["v0", 1])),
+    ("vertex", "good_ex1.json", lambda doc: doc["legs"][0].update(vertex=["v0"])),
+    ("label", "mc_issue_profile.json", lambda doc: doc["profile"]["families"][0].update(label=5)),
 ]
 
 
@@ -455,3 +464,59 @@ def test_every_command_on_every_fixture_matches_golden(monkeypatch):
             mismatches.append(key)
     assert len(golden) == 126
     assert mismatches == []
+
+
+@pytest.mark.skipif(not os.path.exists(GOLDEN), reason="benchmark goldens not present")
+def test_report_pool_documents_match_golden(tmp_path, monkeypatch):
+    """`report` on the first ghost-star and map-model documents of the
+    benchmark's report pool, and `rt` on the map models: the Q(i)-heavy
+    outputs, checked against the benchmark's golden exit codes and stdout
+    digests. The documents are written under tmp_path at the relative path
+    the goldens echo; nothing is written under bench/."""
+    with open(os.path.join(ROOT, "bench", "baseline", "report.json")) as fh:
+        golden = json.load(fh)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(workloads.report_path("ghost", 0)))
+    runs = []
+    for kind, commands in (("ghost", ["report"]), ("map", ["report", "rt"])):
+        for index in range(25):
+            path = workloads.report_path(kind, index)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(schema.dumps(workloads.report_document(kind, index)))
+            runs += [(command, kind, index, path) for command in commands]
+    mismatches = []
+    for command, kind, index, path in runs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([command, path])
+        expected = golden[f"{command}:{kind}:{index}"]
+        if (code, _digest(out.getvalue())) != (expected["code"], expected["stdout"]):
+            mismatches.append((command, kind, index))
+    assert len(runs) == 75
+    assert mismatches == []
+
+
+def test_stratum_dimension_routes_disagreeing_is_an_internal_error(monkeypatch):
+    """The two stratum-dimension routes disagreeing is the program's fault:
+    the library raises InconsistencyError, which is no input error, and the
+    CLI exits 1 with a JSON error, not 2."""
+    from logmoduli import dimension
+    from logmoduli.errors import InconsistencyError, InputError, StructuralError
+
+    with open(fixture("good_ex1.json")) as fh:
+        graph = schema.loads(fh.read())[0]
+    route1 = dimension.expected_dim_log
+    monkeypatch.setattr(dimension, "expected_dim_log", lambda *a: route1(*a) + 1)
+    with pytest.raises(InconsistencyError) as caught:
+        dimension.stratum_dim(graph)
+    assert not isinstance(caught.value, (InputError, StructuralError))
+    for command in ("dims", "report"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([command, fixture("good_ex1.json")])
+        assert code == cli.EXIT_VIOLATION == 1, command
+        assert "stratum dimension routes disagree" in json.loads(out.getvalue())["error"]

@@ -19,8 +19,8 @@ ANALYSIS_ONLY = {"rt", "positivity", "dimension", "tropical", "linprog"}
 
 # every public name of the package, by defining module
 EXPORTS = {
-    "errors": ["InputError", "LogModuliError", "MissingEtaError", "SizeCapError",
-               "StructuralError"],
+    "errors": ["InconsistencyError", "InputError", "LogModuliError", "MissingEtaError",
+               "SizeCapError", "StructuralError"],
     "graphs": ["BUBBLE", "GHOST", "PRINCIPAL", "DecoratedDualGraph", "Edge", "Leg",
                "ValidationReport", "Vertex", "solve_decorations", "validate_graph"],
     "lattice": ["CharacterBasis", "LatticeMap", "build_rho", "build_rho_multinode",
@@ -76,6 +76,30 @@ def test_validate_command_loads_no_analysis_module():
     assert not {f"logmoduli.{m}" for m in ANALYSIS_ONLY} & imported
 
 
+# the commands whose run never needs a Fraction: Q(i) arithmetic is on ints
+LIGHT_COMMANDS = ["validate", "decorate", "group", "ob", "dims"]
+RATIONAL_MODULES = {"fractions", "decimal", "numbers"}
+
+
+def test_light_commands_load_no_fractions_module():
+    fixtures = sorted(n for n in os.listdir(FIXTURES) if not n.startswith("characters"))
+    argvs = [[command, os.path.join(FIXTURES, name)]
+             for command in LIGHT_COMMANDS for name in fixtures]
+    argvs.append(["ob", os.path.join(FIXTURES, "good_ex2.json"), "--characters",
+                  os.path.join(FIXTURES, "characters_good_ex2.json")])
+    result = _fresh(
+        "import contextlib, io, json, sys, logmoduli.cli\n"
+        "codes = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(logmoduli.cli.main(argv))\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))"
+    )
+    codes, loaded = result
+    assert codes.count(0) > len(argvs) // 2  # most runs compute, so Q(i) values are read
+    assert not RATIONAL_MODULES & set(loaded)
+
+
 def test_import_loads_no_submodule():
     loaded = _fresh("import json, sys, logmoduli; print(json.dumps(sorted(sys.modules)))")
     assert [m for m in loaded if m.startswith("logmoduli.")] == []
@@ -95,7 +119,7 @@ def test_every_public_name_resolves_to_its_defining_object():
         " 'dir': dir(lm)}))"
     )
     exports = sorted(name for names in EXPORTS.values() for name in names)
-    assert (len(exports), len(SUBMODULES)) == (73, 12)
+    assert (len(exports), len(SUBMODULES)) == (74, 12)
     assert sorted(result["same"]) == exports and all(result["same"].values())
     assert sorted(result["mods"]) == SUBMODULES and all(result["mods"].values())
     assert result["all"] == exports
