@@ -1,17 +1,29 @@
 """Integer matrix normal forms over arbitrary-precision ints.
 
 Row-style Hermite normal form, Smith normal form, and the kernel /
-left-kernel lattices.  Matrices are lists of lists of Python ints and there
-is no floating point anywhere.  No public routine carries the unimodular
-transform U of U*M = H, whose entries grow without bound under Euclidean
-elimination: kernels come from a rational null space saturated modulo its
-common denominator (Cohen, *A Course in Computational Algebraic Number
-Theory*, 2.4; Domich, Kannan and Trotter 1987), the one place that uses
-modular arithmetic.  The Smith normal form has no elimination of its own:
-it alternates the Hermite form of the matrix and of its transpose until
-the matrix is diagonal (Kannan and Bachem 1979), then turns the diagonal
-into a divisibility chain.  `hnf_row` keeps the U-certified elimination as
-the reference the tests compare against.
+left-kernel lattices.  The public routines take and return matrices as
+lists of lists of Python ints, and there is no floating point anywhere.
+
+Inside, every elimination runs on sparse rows: a row is a dict from column
+to nonzero int, and an entry that becomes zero is deleted, so a row update
+costs the nonzeros of the pivot row, not the width of the matrix (the
+lattice maps of dual graphs have two or three nonzeros per row; Dumas,
+Saunders and Villard, *On efficient sparse integer matrix Smith normal form
+computations*, 2001).  The echelon keeps each live row in a bucket keyed by
+its leading column and walks the columns in increasing order.
+
+No public routine carries the unimodular transform U of U*M = H, whose
+entries grow without bound under Euclidean elimination: kernels come from a
+rational null space saturated modulo its common denominator (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.4; Domich, Kannan and
+Trotter 1987), the one place that uses modular arithmetic.  The Smith
+normal form has no elimination of its own: it alternates the Hermite form
+of the matrix and of its transpose until the matrix is diagonal (Kannan
+and Bachem 1979), then turns the diagonal into a divisibility chain.  Every
+answer is canonical (the rank, the HNF, the HNF-canonical kernels and the
+invariant factors), so it does not depend on which pivot breaks a tie.
+`hnf_row` keeps the dense, U-certified elimination as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -104,40 +116,84 @@ def hnf_row(m):
     return h, u
 
 
-def _echelon(m):
-    """Nonzero rows of a row echelon form of M with positive pivots.
+# -- sparse rows: dicts from column to nonzero int ---------------------------
 
-    Entries above the pivots are left unreduced.  Each column is cleared by
-    Euclidean steps that always divide by the live row of smallest |entry|;
-    the transform is not kept.
+def _sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def _dense(row, cols):
+    out = [0] * cols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _width(m):
+    return len(m[0]) if m else 0
+
+
+def _sub(row, q, p):
+    """row -= q * p in place for q != 0, deleting the entries that become zero."""
+    for j, y in p.items():
+        x = row.get(j, 0) - q * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _echelon(rows, cols):
+    """Nonzero rows of a row echelon form of the sparse rows, positive pivots.
+
+    Consumes its rows.  Entries above the pivots are left unreduced.  Each
+    row waits in the bucket of its leading column; each column is cleared by
+    Euclidean steps that always divide by the live row of smallest |entry|,
+    and a reduced row moves to the bucket of its new leading column.  The
+    transform is not kept.
     """
-    pool = [list(row) for row in m]
-    cols = len(pool[0]) if pool else 0
+    buckets = [[] for _ in range(cols)]
+    for row in rows:
+        if row:
+            buckets[min(row)].append(row)
     out = []
     for c in range(cols):
-        live = [row for row in pool if row[c]]
+        live = buckets[c]
         if not live:
             continue
-        pool = [row for row in pool if not row[c]]
-        head = [0] * c
-        while True:
+        while len(live) > 1:
             p = min(live, key=lambda row: abs(row[c]))
             pv = p[c]
-            tail = p[c:]
-            rest = []
+            rest = [p]
             for row in live:
                 if row is not p:
-                    q = row[c] // pv
-                    row = head + [x - q * y for x, y in zip(row[c:], tail)]
-                    (rest if row[c] else pool).append(row)
-            if not rest:
-                break
-            rest.append(p)
+                    _sub(row, row[c] // pv, p)
+                    if c in row:
+                        rest.append(row)
+                    elif row:
+                        buckets[min(row)].append(row)
             live = rest
-        out.append(p if pv > 0 else [-x for x in p])
-        if not pool:
-            break
+        p = live[0]
+        out.append(p if p[c] > 0 else {j: -x for j, x in p.items()})
     return out
+
+
+def _reduce_above(h):
+    """Reduce, in place, the entries above each pivot of the echelon rows h
+    into [0, pivot); returns h."""
+    for r, prow in enumerate(h):
+        c = min(prow)
+        pv = prow[c]
+        for row in h[:r]:
+            x = row.get(c)
+            if x is not None and (x < 0 or x >= pv):
+                _sub(row, x // pv, prow)
+    return h
+
+
+def _hnf_rows(rows, cols):
+    """The nonzero rows of the HNF of the sparse rows, in pivot order."""
+    return _reduce_above(_echelon(rows, cols))
 
 
 def hnf(m):
@@ -146,30 +202,35 @@ def hnf(m):
     Pivots are positive, entries above a pivot are reduced into [0, pivot),
     zero rows are collected at the bottom.
     """
-    h = _hnf_rows(m)
-    cols = len(m[0]) if m else 0
+    cols = _width(m)
+    h = [_dense(row, cols) for row in _hnf_rows(_sparse(m), cols)]
     return h + [[0] * cols for _ in range(len(m) - len(h))]
 
 
-def _hnf_rows(m):
-    """The nonzero rows of hnf(M)."""
-    h = _echelon(m)
-    for r, prow in enumerate(h):
-        c = next(j for j, x in enumerate(prow) if x)
-        tail = prow[c:]
-        for i in range(r):
-            q = h[i][c] // prow[c]
-            if q:
-                h[i] = h[i][:c] + [x - q * y for x, y in zip(h[i][c:], tail)]
-    return h
-
-
 def rank(m):
-    return len(_echelon(m))
+    return len(_echelon(_sparse(m), _width(m)))
 
 
 def kernel(m):
-    """Basis of {x in Z^cols : M*x = 0} as a list of rows, HNF-canonical.
+    """Basis of {x in Z^cols : M*x = 0} as a list of rows, HNF-canonical."""
+    cols = _width(m)
+    return _kernel([{cols - 1 - j: x for j, x in enumerate(row) if x} for row in m], cols)
+
+
+def left_kernel(m):
+    """Basis of {x in Z^rows : x*M = 0}, HNF-canonical: `kernel` of M^T."""
+    n = len(m)
+    reversed_t = [{} for _ in range(_width(m))]
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x:
+                reversed_t[j][n - 1 - i] = x
+    return _kernel(reversed_t, n)
+
+
+def _kernel(rows, cols):
+    """`kernel` of the matrix given by its sparse rows with the column order
+    reversed (column j under key cols - 1 - j); consumes the rows.
 
     Rational null space plus saturation, without a transform:
       1. take a row echelon form of M with its column order reversed; row
@@ -183,101 +244,111 @@ def kernel(m):
          built one pivot column at a time with every entry reduced mod d;
       4. the HNF of Lambda mapped through C is the HNF of the kernel.
     """
-    cols = len(m[0]) if m else 0
-    # steps 1 and 2 index the columns in reversed order
-    h = _echelon([row[::-1] for row in m])
-    pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+    h = _echelon(rows, cols)
+    pivots = [min(row) for row in h]
     taken = set(pivots)
     free = [j for j in range(cols - 1, -1, -1) if j not in taken]
     if not free:
         return []
-    steps = [(p, row[p], [(j, row[j]) for j in range(p + 1, cols) if row[j]])
+    steps = [(p, row[p], [(j, v) for j, v in row.items() if j != p])
              for p, row in zip(reversed(pivots), reversed(h))]
     # back-substitution, one free column at a time, as an integer numerator
-    # over a denominator that grows only when a pivot fails to divide
+    # over a denominator that grows only when a pivot fails to divide; the
+    # numerators go back to the original column order
     nums, dens = [], []
     for f in free:
-        x = [0] * cols
-        x[f] = den = 1
+        x = {f: 1}
+        den = 1
         for p, pv, tail in steps:
-            s = sum(v * x[j] for j, v in tail)
+            s = sum(v * x[j] for j, v in tail if j in x)
             if s % pv:
                 g = pv // gcd(s, pv)
-                x = [t * g for t in x]
+                x = {j: t * g for j, t in x.items()}
                 den *= g
                 s *= g
-            x[p] = -s // pv
-        g = gcd(*x)
-        nums.append([t // g for t in reversed(x)])
+            if s:
+                x[p] = -s // pv
+        g = gcd(*x.values())
+        nums.append({cols - 1 - j: t // g for j, t in x.items()})
         dens.append(den // g)
     d = lcm(*dens)
     if d == 1:
-        return nums
-    num = [[t * (d // den) for t in x] for x, den in zip(nums, dens)]
-    lam = _saturate([[x[cols - 1 - p] for p in pivots] for x in num], d)
-    return [[t // d for t in row] for row in mat_mul(lam, num)]
+        return [_dense(x, cols) for x in nums]
+    num = [{j: t * (d // den) for j, t in x.items()} for x, den in zip(nums, dens)]
+    # N restricted to the pivot columns, numbered in pivot order, mod d
+    at = {cols - 1 - p: n for n, p in enumerate(pivots)}
+    a = [{at[j]: t % d for j, t in x.items() if j in at and t % d} for x in num]
+    out = []
+    for y in _saturate(a, len(pivots), d):
+        acc = {}
+        for i, s in y.items():
+            for j, t in num[i].items():
+                acc[j] = acc.get(j, 0) + s * t
+        out.append(_dense({j: t // d for j, t in acc.items()}, cols))
+    return out
 
 
-def _saturate(a, d):
-    """Row HNF of Lambda = {y in Z^k : y*A = 0 mod d}, A the k-row matrix a.
+def _saturate(a, width, d):
+    """Row HNF of Lambda = {y in Z^k : y*A = 0 mod d} as k sparse rows, for
+    the k sparse rows a of A, `width` columns wide, entries in [0, d).
 
     Rows are generators of a lattice taken together with d*Z^k, so every
-    entry is kept mod d.  Rows [y | y*A] start from the unit vectors y; each
-    column of A is cleared by Euclidean steps and one rescaled row.  Then an
-    echelon pass over the y columns, adding d*e_c at column c, yields a
-    triangular basis, reduced above its pivots.
+    entry is kept mod d and only the nonzero ones are stored.  Rows [y | y*A]
+    start from the unit vectors y; each column of A is cleared by Euclidean
+    steps and one rescaled row, which leaves the A part of every row zero.
+    Then an echelon pass over the y columns, adding d*e_c at column c,
+    yields a triangular basis, reduced above its pivots.
     """
     k = len(a)
-    rows = [[int(i == j) for j in range(k)] + [t % d for t in a[i]] for i in range(k)]
-    for j in range(k, len(rows[0])):
-        live = [row for row in rows if row[j]]
+    rows = [{i: 1} | {k + j: t for j, t in arow.items()} for i, arow in enumerate(a)]
+    for j in range(k, k + width):
+        live = [row for row in rows if j in row]
         if live:
-            rows = [row for row in rows if not row[j]]
+            rows = [row for row in rows if j not in row]
             p, cleared = _clear_mod(live, j, d)
             scale = d // gcd(p[j], d)
-            rows += cleared + [[y * scale % d for y in p]]
-    rows = [row[:k] for row in rows]
+            rows += cleared
+            rows.append({c: z for c, y in p.items() if (z := y * scale % d)})
     basis = []
     for c in range(k):
-        live = [row for row in rows if row[c]]
-        live.append([0] * c + [d] + [0] * (k - c - 1))
-        rows = [row for row in rows if not row[c]]
+        live = [row for row in rows if c in row]
+        live.append({c: d})
+        rows = [row for row in rows if c not in row]
         p, cleared = _clear_mod(live, c, d)
         basis.append(p)
         rows += cleared
-    for c in range(k):
-        for i in range(c):
-            q = basis[i][c] // basis[c][c]
-            if q:
-                basis[i] = [y - q * t for y, t in zip(basis[i], basis[c])]
-    return basis
+    return _reduce_above(basis)
 
 
 def _clear_mod(live, j, d):
-    """Euclidean steps mod d on rows nonzero in column j, entries in [0, d).
+    """Euclidean steps mod d on sparse rows nonzero in column j, entries in
+    [0, d); updates the rows in place.
 
-    Returns the one row left nonzero there and the rows now zero there.
+    Returns the one row left nonzero there and the other rows, now zero
+    there, without the ones that became zero everywhere.
     """
     cleared = []
     while True:
         p = min(live, key=lambda row: row[j])
+        pv = p[j]
         rest = []
         for row in live:
             if row is not p:
-                q = row[j] // p[j]
-                row = [(y - q * t) % d for y, t in zip(row, p)]
-                (rest if row[j] else cleared).append(row)
+                q = row[j] // pv
+                for c, t in p.items():
+                    y = (row.get(c, 0) - q * t) % d
+                    if y:
+                        row[c] = y
+                    else:
+                        row.pop(c, None)
+                if j in row:
+                    rest.append(row)
+                elif row:
+                    cleared.append(row)
         if not rest:
             return p, cleared
         rest.append(p)
         live = rest
-
-
-def left_kernel(m):
-    """Basis of {x in Z^rows : x*M = 0}, HNF-canonical: `kernel` of M^T."""
-    if m and not m[0]:
-        return identity(len(m))
-    return kernel(transpose(m))
 
 
 def smith_normal_form(m):
@@ -285,22 +356,28 @@ def smith_normal_form(m):
 
     Alternating Hermite forms (Kannan and Bachem 1979): the nonzero rows of
     hnf(M), then of hnf of their transpose, and so on until the matrix is
-    diagonal; both steps keep the Smith form.  Pairwise (gcd, lcm) steps
-    then turn the diagonal into a divisibility chain.
+    diagonal, that is until row i is exactly {i: v}; both steps keep the
+    Smith form.  Pairwise (gcd, lcm) steps then turn the diagonal entries
+    other than 1 into a divisibility chain, which the 1s precede.
     """
-    h = _hnf_rows(m)
-    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
-        h = _hnf_rows(transpose(h))
+    h = _hnf_rows(_sparse(m), _width(m))
+    while not all(len(row) == 1 and i in row for i, row in enumerate(h)):
+        t = {}
+        for i, row in enumerate(h):
+            for j, x in row.items():
+                t.setdefault(j, {})[i] = x
+        h = _hnf_rows(list(t.values()), len(h))
     diag = [row[i] for i, row in enumerate(h)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-    return diag
+    chain = [x for x in diag if x != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
+    return [1] * (len(diag) - len(chain)) + chain
 
 
 def lattices_equal(a, b) -> bool:
     """Whether two row-span lattices in Z^n coincide."""
-    return _hnf_rows(a) == _hnf_rows(b)
+    return _hnf_rows(_sparse(a), _width(a)) == _hnf_rows(_sparse(b), _width(b))
 
 
 def in_lattice(vec, basis) -> bool:

@@ -29,7 +29,7 @@ class Characters:
     index: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(tuple(map(int, r)) for r in self.rows))
         object.__setattr__(self, "index", tuple(self.index))
 
     @property
@@ -81,7 +81,7 @@ class LatticeMap:
     """Integer matrix with cached normal-form data and index labels."""
 
     def __init__(self, matrix, domain_index, codomain_index, graph=None):
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        self.matrix = tuple(tuple(map(int, row)) for row in matrix)
         self.domain_index = tuple(domain_index)
         self.codomain_index = tuple(codomain_index)
         self.graph = graph

@@ -140,6 +140,11 @@ class GaussianRational:
     def __hash__(self):
         return hash(self._abd)
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the value from its triple; the
+        # default slot restore would go through the refusing __setattr__
+        return _wrap, (self._abd,)
+
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 

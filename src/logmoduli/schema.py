@@ -295,6 +295,9 @@ def parse_profile(payload: dict) -> GeometryProfile:
             raise StructuralError(
                 f"{where}: field 'delta' must be an integer, null or {{\"linear\": w}}, got {delta!r}"
             )
+        effective = f.get("effective", True)
+        if type(effective) is not bool:  # no string or number is read as a flag
+            raise StructuralError(f"{where}: field 'effective' must be a boolean, got {effective!r}")
         multiplicity = f.get("multiplicity", "all")
         fams.append(
             CurveFamily(
@@ -302,7 +305,7 @@ def parse_profile(payload: dict) -> GeometryProfile:
                 stratum=frozenset(_list(f.get("stratum", []), "stratum", where, _integer)),
                 c1_tx=_int(f, "c1_tx", where),
                 dot=tuple(_list(_req(f, "dot", "family"), "dot", where, _integer)),
-                effective=bool(f.get("effective", True)),
+                effective=effective,
                 multiplicity=("all" if multiplicity == "all"
                               else tuple(_list(multiplicity, "multiplicity", where, _integer))),
                 delta=delta,

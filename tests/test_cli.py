@@ -335,6 +335,8 @@ MALFORMED_DOCUMENTS = [
     ("ends", "good_ex1.json", lambda doc: doc["edges"][0].update(ends=["v0", 1])),
     ("vertex", "good_ex1.json", lambda doc: doc["legs"][0].update(vertex=["v0"])),
     ("label", "mc_issue_profile.json", lambda doc: doc["profile"]["families"][0].update(label=5)),
+    ("effective", "mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][0].update(effective="no")),
 ]
 
 

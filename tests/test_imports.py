@@ -100,6 +100,16 @@ def test_light_commands_load_no_fractions_module():
     assert not RATIONAL_MODULES & set(loaded)
 
 
+def test_group_command_loads_no_heap_or_rational_module():
+    # the lattice normal forms walk their columns in order, with no heap
+    proc = _run("-X", "importtime", "-m", "logmoduli.cli", "group",
+                os.path.join(FIXTURES, "good_ex1.json"))
+    assert json.loads(proc.stdout)["command"] == "group"
+    imported = set(re.findall(r"\|\s*([\w.]+)\s*$", proc.stderr, re.M))
+    assert {"json", "logmoduli.intlinalg", "logmoduli.lattice"} <= imported
+    assert not {"heapq", "fractions", "decimal"} & imported
+
+
 def test_import_loads_no_submodule():
     loaded = _fresh("import json, sys, logmoduli; print(json.dumps(sorted(sys.modules)))")
     assert [m for m in loaded if m.startswith("logmoduli.")] == []

@@ -112,3 +112,31 @@ def test_lattice_membership():
     assert il.in_lattice([1], [[2], [3]])
     assert il.in_lattice([1, 1], [[2, 2], [3, 3], [0, 4]])
     assert not il.in_lattice([1, 0], [[2, 2], [3, 3], [0, 4]])
+
+
+# (matrix, rank, kernel, left_kernel, smith_normal_form, hnf) on empty and zero shapes
+EMPTY_SHAPES = [
+    ([], 0, [], [], [], []),
+    ([[]], 0, [], [[1]], [], [[]]),
+    ([[], []], 0, [], [[1, 0], [0, 1]], [], [[], []]),
+    ([[0, 0]], 0, [[1, 0], [0, 1]], [[1]], [], [[0, 0]]),
+    ([[0], [0]], 0, [[1]], [[1, 0], [0, 1]], [], [[0], [0]]),
+    ([[0, 0], [0, 0]], 0, [[1, 0], [0, 1]], [[1, 0], [0, 1]], [], [[0, 0], [0, 0]]),
+]
+
+
+def test_empty_and_zero_shapes_keep_their_answers():
+    for m, rank, ker, left, snf, h in EMPTY_SHAPES:
+        assert il.rank(m) == rank, m
+        assert il.kernel(m) == ker, m
+        assert il.left_kernel(m) == left, m
+        assert il.smith_normal_form(m) == snf, m
+        assert il.hnf(m) == h, m
+
+
+def test_normal_forms_leave_their_argument_alone():
+    m = [[2, 4, 0], [0, 6, 3], [2, 10, 3], [0, 0, 0]]
+    before = [row[:] for row in m]
+    il.rank(m), il.hnf(m), il.kernel(m), il.left_kernel(m), il.smith_normal_form(m)
+    il.lattices_equal(m, m[:2])
+    assert m == before

@@ -46,6 +46,29 @@ def _matrices():
 MATRICES = _matrices()
 
 
+def _graph_like_matrices():
+    """Seeded matrices shaped like the lattice maps of dual graphs: two or
+    three nonzeros per row, 10 to 60 columns, some zero rows and some zero
+    columns, tall and wide."""
+    rng = random.Random(20261019)
+    out = []
+    for tall in [True, False] * 15:
+        cols = rng.randint(10, 60)
+        rows = cols + rng.randint(1, 30) if tall else rng.randint(5, cols - 1)
+        used = rng.sample(range(cols), cols - rng.randint(1, 3))  # the rest stay zero
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            if rng.random() < 0.1:
+                continue  # a zero row
+            for j in rng.sample(used, rng.randint(2, 3)):
+                row[j] = rng.choice([1, -1, 1, -1, 2, -2, 3, 4])
+        out.append(m)
+    return out
+
+
+GRAPH_LIKE = _graph_like_matrices()
+
+
 def _nonzero(rows):
     return [list(r) for r in rows if any(r)]
 
@@ -117,3 +140,31 @@ def test_small_matrices_match_the_u_path():
         assert il.rank(m) == len(_nonzero(il.hnf_row(m)[0]))
         assert il.left_kernel(m) == _u_path_left_kernel(m), m
         assert il.kernel(m) == _u_path_left_kernel(il.transpose(m)), m
+
+
+def test_graph_like_matrices_cover_each_shape():
+    assert len(GRAPH_LIKE) == 30
+    assert sum(len(m) > len(m[0]) for m in GRAPH_LIKE) == 15
+    assert sum(len(m) < len(m[0]) for m in GRAPH_LIKE) == 15
+    for m in GRAPH_LIKE:
+        assert 10 <= len(m[0]) <= 60
+        assert all(sum(map(bool, row)) in (0, 2, 3) for row in m)
+        assert not all(any(col) for col in zip(*m))
+    assert sum(not any(row) for m in GRAPH_LIKE for row in m) >= 30
+
+
+def test_graph_like_matrices_match_sympy():
+    for m in GRAPH_LIKE:
+        assert il.smith_normal_form(m) == _sympy_factors(m), m
+        h = il.hnf(m)
+        _assert_row_hnf(h, len(m), len(m[0]))
+        ref = hermite_normal_form(sympy.Matrix(m).T).T.tolist()
+        assert _nonzero(il.hnf(ref)) == _nonzero(h), m
+        assert il.rank(m) == len(_nonzero(h)) == sympy.Matrix(m).rank()
+        for basis, mat in ((il.kernel(m), m), (il.left_kernel(m), il.transpose(m))):
+            assert len(basis) == len(mat[0]) - il.rank(m), m
+            for vec in basis:
+                assert not any(il.mat_vec(mat, vec))
+            if basis:
+                assert _sympy_factors(basis) == [1] * len(basis), (m, basis)
+                _assert_row_hnf(basis, len(basis), len(basis[0]))

@@ -1,4 +1,7 @@
+import copy
 import math
+import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -225,3 +228,22 @@ def test_errors_division_by_zero_and_immutability():
         z + 0.5
     with pytest.raises(TypeError):
         z ** Fraction(1, 2)
+
+
+def test_copy_deepcopy_and_pickle_rebuild_the_value():
+    for z in (Q(1, 2), Q(Fraction(-3, 4), Fraction(5, 6)), Q(0)):
+        for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+            assert type(twin) is Q and twin == z and twin._abd == z._abd
+            with pytest.raises(AttributeError):
+                twin._abd = (0, 0, 1)
+
+
+def test_deepcopy_of_parsed_curve_data():
+    from logmoduli import schema
+
+    fixtures = os.path.join(os.path.dirname(os.path.abspath(schema.__file__)), "fixtures")
+    with open(os.path.join(fixtures, "good_ex1.json"), encoding="utf-8") as fh:
+        data = schema.loads(fh.read())[1]
+    assert data.eta and all(type(z) is Q for z in data.eta.values())
+    twin = copy.deepcopy(data)
+    assert twin == data and twin is not data
