@@ -113,7 +113,7 @@ def _read_characters(args):
     with open(args.characters, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise StructuralError(f"invalid JSON in characters file: {exc}") from exc
     rows = raw.get("characters") if isinstance(raw, dict) else raw
     if not rows:

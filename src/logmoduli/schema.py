@@ -3,6 +3,10 @@
 Numbers that live in Q(i) are strings ("a/b" or "a/b+c/d*i"); "inf" is the
 reserved infinity token.  Serialization is canonical: keys sorted, elements
 ordered by id, so parse-then-serialize is a fixed point byte for byte.
+
+Every field is read by `_get` as a kind.  An error names the JSON path of
+the enclosing record, rooted at `document`, and the field:
+`document.edges[0]: field 'contact' must be a list of integers, got 7`.
 """
 
 from __future__ import annotations
@@ -22,250 +26,200 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = "1"
 
-
-def _req(obj, key, where):
-    if key not in obj:
-        raise StructuralError(f"{where}: missing field {key!r}")
-    return obj[key]
-
+# The kinds of field.  The JSON types int, str, bool, dict (an object) and
+# list read as themselves, _P1 reads a Q(i) string or "inf", _DELTA a profile
+# family's `delta`.  A (name, container, item) triple reads a list of items,
+# an object with integer keys and item values (as a dict from int), or, for
+# container tuple, a list with one entry per kind in item (as a tuple).
+_TEXT = "a string or null"
+_QI = "a Gaussian rational"
+_P1 = "a point of P1"
+_DELTA = 'an integer, null or {"linear": w}'
+_NAMES = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object", list: "a list"}
+_INTS = ("a list of integers", list, int)
+_STRS = ("a list of strings", list, str)
+_BOOLS = ("a list of booleans", list, bool)
+_ROWS = ("a list of integer lists", list, _INTS)
+_POINTS = ("an object of points of P1 by end index", dict, _P1)
+_ETA = ("an object of objects of Gaussian rationals, keyed by end and coordinate", dict,
+        ("an object of Gaussian rationals by coordinate", dict, _QI))
+_SECTIONS = ("an object of sections by coordinate", dict, dict)
+_DIVISOR = ("a list of [point, order] pairs", list, ("a [point, order] pair", tuple, (_P1, int)))
+# an edge's image labels are read as the list of its values at "0", "1", ...
+_LABELS = ("an object with a string or null at each end index", list, _TEXT)
 
 _REQUIRED = object()
 
 
-def _int(obj, key, where, default=_REQUIRED):
-    """An integer field; an optional one that is absent or null reads as
+def _get(obj, key, record, kind, default=_REQUIRED):
+    """The field `key` of the object `obj` at JSON path `record`, read as
+    `kind`.  A field with a default is optional: absent or null, it takes
     its default."""
-    if default is not _REQUIRED and obj.get(key) is None:
-        return default
-    value = _req(obj, key, where)
-    if type(value) is not int:  # no float, string or bool is read as an integer
-        raise StructuralError(f"{where}: field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _string(obj, key, where):
-    """A required string field; no number or list is read as a string."""
-    value = _req(obj, key, where)
-    if not isinstance(value, str):
-        raise StructuralError(f"{where}: field {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _integer(value):
-    """value itself when it is a JSON integer; floats, strings and booleans
-    raise TypeError rather than being coerced."""
-    if type(value) is not int:
-        raise TypeError(value)
-    return value
-
-
-def _text(value):
-    """value itself when it is a JSON string, else TypeError."""
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _boolean(value):
-    """value itself when it is a JSON boolean, else TypeError."""
-    if type(value) is not bool:
-        raise TypeError(value)
-    return value
-
-
-def _obj(value, key, where):
-    """The value of an object field; anything else raises a StructuralError
-    naming the field."""
-    if not isinstance(value, dict):
-        raise StructuralError(f"{where}: field {key!r} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _list(value, key, where, item=None, kind="integers"):
-    """The value of a list field, each entry checked by item (`_integer`,
-    `_int_row` for rows of integers, `_text` or `_boolean`, with kind naming
-    what it accepts); anything else raises a StructuralError naming the
-    field."""
-    if not isinstance(value, list):
-        raise StructuralError(f"{where}: field {key!r} must be a list, got {type(value).__name__}")
-    if item is None:
+    value = obj.get(key)
+    if type(value) is kind:
         return value
-    try:
-        return [item(x) for x in value]
-    except TypeError:
-        raise StructuralError(f"{where}: field {key!r} must hold {kind}, got {value!r}") from None
+    if value is None:
+        if default is not _REQUIRED:
+            return default
+        if key not in obj:
+            raise StructuralError(f"{record}: missing field {key!r}")
+    return _read(value, kind, record, key)
 
 
-def _str(value, key, where):
-    """The value of an optional string field, None when absent or null;
-    anything else raises a StructuralError naming the field."""
-    if value is not None and not isinstance(value, str):
-        raise StructuralError(f"{where}: field {key!r} must be a string or null, got {value!r}")
-    return value
-
-
-def _index(key, field, where):
-    """An integer key of an object field, such as an end index in
-    `positions`; anything else raises a StructuralError naming the field."""
-    try:
-        return int(key)
-    except ValueError:
-        raise StructuralError(f"{where}: field {field!r} must have integer keys, got {key!r}") from None
-
-
-def _int_row(value):
-    if not isinstance(value, list):
-        raise TypeError(value)
-    return [_integer(x) for x in value]
-
-
-def _divisor(value, where):
-    """A section divisor: a list of [point, order] pairs, read as
-    (P1Point, int) pairs."""
-    out = []
-    for entry in _list(value, "divisor", where):
-        try:
-            if not isinstance(entry, list):
-                raise TypeError(entry)
-            point, order = entry
-            out.append((P1Point.parse(str(point)), _integer(order)))
-        except (TypeError, ValueError, OverflowError):
-            raise StructuralError(
-                f"{where}: field 'divisor' must hold [point, order] pairs, got {entry!r}"
-            ) from None
-    return out
+def _read(value, kind, record, name):
+    """value, the field `name` of the record at JSON path `record`, read as
+    `kind`; anything else raises a StructuralError naming the field."""
+    if type(value) is kind:
+        return value
+    if type(kind) is tuple:
+        _, container, item = kind
+        if type(value) is list and container is list:
+            try:
+                return [x if type(x) is item else _read(x, item, record, name) for x in value]
+            except StructuralError:
+                pass  # an entry of the wrong kind: the error names the list
+        if type(value) is list and container is tuple and len(value) == len(item):
+            return tuple(_read(x, k, record, name) for x, k in zip(value, item))
+        if type(value) is dict and container is dict:
+            out = {}
+            for key, x in value.items():
+                try:
+                    index = int(key)
+                except ValueError:
+                    raise StructuralError(
+                        f"{record}: field {name!r} must have integer keys, got {key!r}"
+                    ) from None
+                out[index] = _read(x, item, record, f"{name}.{key}")
+            return out
+    elif kind is _TEXT:
+        if value is None or type(value) is str:
+            return value
+    elif kind is _QI or kind is _P1:
+        if type(value) is str:
+            try:
+                return qi_parse(value) if kind is _QI else P1Point.parse(value)
+            except (StructuralError, ValueError):
+                pass
+    elif kind is _DELTA:
+        if type(value) is int:
+            return value
+        if type(value) is dict:
+            return ("linear", _get(value, "linear", f"{record}.{name}", int))
+    what = kind[0] if type(kind) is tuple else _NAMES.get(kind, kind)
+    raise StructuralError(f"{record}: field {name!r} must be {what}, got {value!r}")
 
 
 def parse_document(doc: dict):
     """Parse a graph document into (graph, data, profile, characters, expect)."""
     if not isinstance(doc, dict):
         raise StructuralError("document must be a JSON object")
-    version = doc.get("schema_version", SCHEMA_VERSION)
+    version = _get(doc, "schema_version", "document", str, SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema_version {version!r}")
-    N = _int(doc, "N", "document")
-    n = _int(doc, "n", "document")
+    N = _get(doc, "N", "document", int)
+    n = _get(doc, "n", "document", int)
 
     vertices = []
-    for k, item in enumerate(_list(doc.get("vertices", []), "vertices", "document")):
-        item = _obj(item, f"vertices[{k}]", "document")
-        vid = _string(item, "id", "vertex")
-        where = f"vertex {vid}"
-        base_degrees = item.get("base_degrees")
+    for k, item in enumerate(_get(doc, "vertices", "document", list, ())):
+        item = _read(item, dict, "document", f"vertices[{k}]")
+        path = f"document.vertices[{k}]"
         vertices.append(
             Vertex(
-                id=vid,
-                genus=_int(item, "genus", where, 0),
-                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, _integer)),
-                c1_log=_int(item, "c1_log", where, 0),
-                degrees=tuple(_list(item.get("degrees", [0] * N), "degrees", where, _integer)),
-                kind=item.get("kind", "principal"),
-                image_label=_str(item.get("image_label"), "image_label", where),
-                cover_degree=_int(item, "cover_degree", where, None),
-                base_degrees=(tuple(_list(base_degrees, "base_degrees", where, _integer))
-                              if base_degrees else None),
-                base_c1_log=_int(item, "base_c1_log", where, None),
+                id=_get(item, "id", path, str),
+                genus=_get(item, "genus", path, int, 0),
+                stratum=_get(item, "stratum", path, _INTS, ()),
+                c1_log=_get(item, "c1_log", path, int, 0),
+                degrees=_get(item, "degrees", path, _INTS, [0] * N),
+                kind=_get(item, "kind", path, str, "principal"),
+                image_label=_get(item, "image_label", path, _TEXT, None),
+                cover_degree=_get(item, "cover_degree", path, int, None),
+                base_degrees=_get(item, "base_degrees", path, _INTS, None) or None,
+                base_c1_log=_get(item, "base_c1_log", path, int, None),
             )
         )
 
     edges = []
     positions = {}
     eta = {}
-    for k, item in enumerate(_list(doc.get("edges", []), "edges", "document")):
-        item = _obj(item, f"edges[{k}]", "document")
-        eid = _string(item, "id", "edge")
-        where = f"edge {eid}"
-        ends = tuple(_list(_req(item, "ends", where), "ends", where, _text, "strings"))
-        contact = item.get("contact")
-        contacts = item.get("contacts")
-        into = item.get("into")
-        labels = item.get("image_labels")
+    for k, item in enumerate(_get(doc, "edges", "document", list, ())):
+        item = _read(item, dict, "document", f"edges[{k}]")
+        path = f"document.edges[{k}]"
+        eid = _get(item, "id", path, str)
+        ends = _get(item, "ends", path, _STRS)
+        labels = _get(item, "image_labels", path, dict, None)
         if labels is not None:
-            labels = _obj(labels, "image_labels", where)
-            labels = tuple(_str(labels.get(str(i)), "image_labels", where)
-                           for i in range(len(ends)))
+            labels = _read([labels.get(str(i)) for i in range(len(ends))], _LABELS, path,
+                           "image_labels")
         edges.append(
             Edge(
                 eid,
                 ends,
-                stratum=frozenset(_list(item.get("stratum", []), "stratum", where, _integer)),
-                contact=_list(contact, "contact", where, _integer) if contact is not None else None,
-                contacts=(_list(contacts, "contacts", where, _int_row)
-                          if contacts is not None else None),
-                into=_list(into, "into", where, _boolean, "booleans") if into is not None else None,
+                stratum=_get(item, "stratum", path, _INTS, ()),
+                contact=_get(item, "contact", path, _INTS, None),
+                contacts=_get(item, "contacts", path, _ROWS, None),
+                into=_get(item, "into", path, _BOOLS, None),
                 image_labels=labels,
             )
         )
-        for key, val in _obj(item.get("positions") or {}, "positions", where).items():
-            positions[(eid, _index(key, "positions", where))] = P1Point.parse(val)
-        for end_key, per_i in _obj(item.get("eta") or {}, "eta", where).items():
-            end = _index(end_key, "eta", where)
-            for i_key, val in _obj(per_i, f"eta.{end_key}", where).items():
-                eta[(eid, end, _index(i_key, f"eta.{end_key}", where))] = qi_parse(val)
+        for end, point in _get(item, "positions", path, _POINTS, {}).items():
+            positions[(eid, end)] = point
+        for end, per_i in _get(item, "eta", path, _ETA, {}).items():
+            for i, value in per_i.items():
+                eta[(eid, end, i)] = value
 
     legs = []
     leg_positions = {}
-    for k, item in enumerate(_list(doc.get("legs", []), "legs", "document")):
-        item = _obj(item, f"legs[{k}]", "document")
-        lid = _string(item, "id", "leg")
+    for k, item in enumerate(_get(doc, "legs", "document", list, ())):
+        item = _read(item, dict, "document", f"legs[{k}]")
+        path = f"document.legs[{k}]"
+        lid = _get(item, "id", path, str)
         legs.append(
             Leg(
                 lid,
-                _string(item, "vertex", f"leg {lid}"),
-                contact=_list(item.get("contact", [0] * N), "contact", f"leg {lid}", _integer),
+                _get(item, "vertex", path, str),
+                contact=_get(item, "contact", path, _INTS, [0] * N),
                 position=item.get("position"),
-                image_label=_str(item.get("image_label"), "image_label", f"leg {lid}"),
+                image_label=_get(item, "image_label", path, _TEXT, None),
             )
         )
-        if item.get("position") is not None:
-            leg_positions[lid] = P1Point.parse(item["position"])
+        point = _get(item, "position", path, _P1, None)
+        if point is not None:
+            leg_positions[lid] = point
 
     sections = {}
-    for vid, per_i in _obj(doc.get("sections") or {}, "sections", "document").items():
-        out = {}
-        for i_key, item in _obj(per_i, f"sections.{vid}", "document").items():
-            field = f"sections.{vid}.{i_key}"
-            item = _obj(item, field, "document")
-            out[_index(i_key, f"sections.{vid}", "document")] = RationalSection(
-                _int(item, "degree", field, 0),
-                qi_parse(item.get("scale", "1")),
-                _divisor(item.get("divisor", []), field),
+    for vid, per_i in _get(doc, "sections", "document", dict, {}).items():
+        out = sections[vid] = {}
+        _read(per_i, _SECTIONS, "document", f"sections.{vid}")  # the keys are integers
+        for i, item in per_i.items():
+            path = f"document.sections.{vid}.{i}"
+            out[int(i)] = RationalSection(
+                _get(item, "degree", path, int, 0),
+                _get(item, "scale", path, _QI, 1),
+                _get(item, "divisor", path, _DIVISOR, ()),
             )
-        sections[str(vid)] = out
 
     graph = DecoratedDualGraph(N, n, vertices, edges, legs)
     data = CurveData(positions, leg_positions, sections, eta)
 
-    profile = None
-    if doc.get("profile"):
-        profile = parse_profile(_obj(doc["profile"], "profile", "document"))
+    # an empty profile or characters list reads as absent
+    profile = _get(doc, "profile", "document", dict, None)
+    profile = parse_profile(profile) if profile else None
+    characters = _get(doc, "characters", "document", list, None)
+    characters = characters_on(graph, characters) if characters else None
 
-    characters = None
-    if doc.get("characters"):
-        characters = characters_on(graph, doc["characters"])
-
-    expect = doc.get("expect")
-    if expect is not None:
-        expect = _obj(expect, "expect", "document")
-        if expect.get("cover") is not None:
-            _cover(expect["cover"])
+    expect = _get(doc, "expect", "document", dict, None)
+    cover = None if expect is None else _get(expect, "cover", "document.expect", dict, None)
+    if cover is not None:  # `dims` reads the values read here
+        path = "document.expect.cover"
+        read = {key: _get(cover, key, path, int) for key in ("d", "l", "k", "c1_log_base")}
+        expect = dict(expect, cover=dict(read, depth=_get(cover, "depth", path, int, 0)))
     return graph, data, profile, characters, expect
-
-
-def _cover(value):
-    """Check the multiple-cover expectation read by `dims`: an object with
-    integer d, l, k and c1_log_base and an optional integer depth."""
-    cover = _obj(value, "cover", "expect")
-    for key in ("d", "l", "k", "c1_log_base"):
-        _int(cover, key, "expect.cover")
-    if "depth" in cover:
-        _int(cover, "depth", "expect.cover")
 
 
 def character_rows(rows):
     """Character rows as lists of integers; anything else raises a
     StructuralError naming the field."""
-    return _list(rows, "characters", "document", _int_row)
+    return _read(rows, _ROWS, "document", "characters")
 
 
 def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
@@ -281,37 +235,30 @@ def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
 
 
 def parse_profile(payload: dict) -> GeometryProfile:
+    """The positivity profile read from a document's `profile` object."""
     # only documents with a profile need the positivity module
     from .positivity import CurveFamily, GeometryProfile
 
+    record = "document.profile"
     fams = []
-    for k, f in enumerate(_list(_req(payload, "families", "profile"), "families", "profile")):
-        where = f"profile families[{k}]"
-        f = _obj(f, f"families[{k}]", "profile")
-        delta = f.get("delta")
-        if isinstance(delta, dict):
-            delta = ("linear", _int(delta, "linear", f"{where} delta"))
-        elif delta is not None and (not isinstance(delta, int) or isinstance(delta, bool)):
-            raise StructuralError(
-                f"{where}: field 'delta' must be an integer, null or {{\"linear\": w}}, got {delta!r}"
-            )
-        effective = f.get("effective", True)
-        if type(effective) is not bool:  # no string or number is read as a flag
-            raise StructuralError(f"{where}: field 'effective' must be a boolean, got {effective!r}")
-        multiplicity = f.get("multiplicity", "all")
+    for k, f in enumerate(_get(payload, "families", record, list)):
+        f = _read(f, dict, record, f"families[{k}]")
+        path = f"{record}.families[{k}]"
+        multiplicity = f.get("multiplicity")
         fams.append(
             CurveFamily(
-                label=_string(f, "label", "family"),
-                stratum=frozenset(_list(f.get("stratum", []), "stratum", where, _integer)),
-                c1_tx=_int(f, "c1_tx", where),
-                dot=tuple(_list(_req(f, "dot", "family"), "dot", where, _integer)),
-                effective=effective,
-                multiplicity=("all" if multiplicity == "all"
-                              else tuple(_list(multiplicity, "multiplicity", where, _integer))),
-                delta=delta,
+                label=_get(f, "label", path, str),
+                stratum=frozenset(_get(f, "stratum", path, _INTS, ())),
+                c1_tx=_get(f, "c1_tx", path, int),
+                dot=tuple(_get(f, "dot", path, _INTS)),
+                effective=_get(f, "effective", path, bool, True),
+                multiplicity=("all" if multiplicity in (None, "all")
+                              else tuple(_get(f, "multiplicity", path, _INTS))),
+                delta=_get(f, "delta", path, _DELTA, None),
             )
         )
-    return GeometryProfile(_int(payload, "n", "profile"), _int(payload, "N", "profile"), tuple(fams))
+    return GeometryProfile(_get(payload, "n", record, int), _get(payload, "N", record, int),
+                           tuple(fams))
 
 
 def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = None,
@@ -410,6 +357,6 @@ def dumps(doc: dict) -> str:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise StructuralError(f"invalid JSON: {exc}") from exc
     return parse_document(doc)

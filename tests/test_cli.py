@@ -337,6 +337,18 @@ MALFORMED_DOCUMENTS = [
     ("label", "mc_issue_profile.json", lambda doc: doc["profile"]["families"][0].update(label=5)),
     ("effective", "mc_issue_profile.json",
      lambda doc: doc["profile"]["families"][0].update(effective="no")),
+    # a falsy container of the wrong type is refused, not read as empty
+    ("positions", "good_ex1.json", lambda doc: doc["edges"][0].update(positions=0)),
+    ("eta", "good_ex1.json", lambda doc: doc["edges"][0].update(eta=False)),
+    ("sections", "good_ex2.json", lambda doc: doc.update(sections=0)),
+    ("characters", "good_ex2.json", lambda doc: doc.update(characters=False)),
+    ("base_degrees", "good_ex1.json", lambda doc: doc["vertices"][0].update(base_degrees=0)),
+    ("profile", "good_ex1.json", lambda doc: doc.update(profile=[])),
+    # a divisor point is a string, never a number read through str()
+    ("divisor", "good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(divisor=[[5, 1]])),
+    ("kind", "good_ex1.json", lambda doc: doc["vertices"][0].update(kind=7)),
+    ("positions.0", "good_ex1.json",
+     lambda doc: doc["edges"][0].update(positions={"0": "1" * 5000})),
 ]
 
 
@@ -374,6 +386,123 @@ def test_cover_expectation_is_read_or_its_missing_field_named(tmp_path):
         with redirect_stdout(out):
             assert cli.main([command, str(path)]) == 2
         assert "missing field 'l'" in json.loads(out.getvalue())["error"]
+
+
+def _errors(path, commands=None):
+    """The error of every command (all nine by default) on the document at
+    path, each command asserted to exit 2."""
+    errors = {}
+    for command in commands or sorted(cli._COMMANDS):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main([command, str(path)]) == 2, command
+        errors[command] = json.loads(out.getvalue())["error"]
+    return errors
+
+
+def test_missing_rank_field_error_is_byte_stable():
+    # the fixtures' one exit-2 field error keeps the bytes it had before
+    # record paths were added
+    errors = _errors(fixture("characters_good_ex2.json"))
+    assert set(errors.values()) == {"document: missing field 'N'"}
+    assert len(errors) == 9
+
+
+EXACT_FIELD_ERRORS = [
+    ("good_ex1.json", lambda doc: doc["vertices"][2].update(id=[1]),
+     "document.vertices[2]: field 'id' must be a string, got [1]"),
+    ("good_ex1.json", lambda doc: doc["edges"][1].update(contact=7),
+     "document.edges[1]: field 'contact' must be a list of integers, got 7"),
+    ("good_ex1.json", lambda doc: doc["edges"][0].update(eta={"1": {"2": 5}}),
+     "document.edges[0]: field 'eta.1.2' must be a Gaussian rational, got 5"),
+    ("good_ex1.json", lambda doc: doc["legs"][0].update(position="x"),
+     "document.legs[0]: field 'position' must be a point of P1, got 'x'"),
+    ("good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(degree="2"),
+     "document.sections.v1.1: field 'degree' must be an integer, got '2'"),
+    ("good_ex2.json", lambda doc: doc["sections"]["v1"]["1"].update(scale=2),
+     "document.sections.v1.1: field 'scale' must be a Gaussian rational, got 2"),
+    ("good_ex2.json",
+     lambda doc: doc["sections"]["v1"].update({"01": dict(doc["sections"]["v1"].pop("1"),
+                                                          degree="x")}),
+     "document.sections.v1.01: field 'degree' must be an integer, got 'x'"),
+    ("mc_issue_profile.json", lambda doc: doc["profile"]["families"][1].pop("dot"),
+     "document.profile.families[1]: missing field 'dot'"),
+    ("mc_issue_profile.json",
+     lambda doc: doc["profile"]["families"][1].update(delta={"linear": "x"}),
+     "document.profile.families[1].delta: field 'linear' must be an integer, got 'x'"),
+    ("good_ex1.json", lambda doc: doc["expect"].update(cover={"d": 2}),
+     "document.expect.cover: missing field 'l'"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, error", EXACT_FIELD_ERRORS,
+                         ids=[e.split(":")[0] + "-" + e.split("'")[1]
+                              for _, _, e in EXACT_FIELD_ERRORS])
+def test_field_error_names_the_record_path(tmp_path, name, mutate, error):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    mutate(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert set(_errors(path).values()) == {error}
+
+
+def test_null_depth_reads_as_depth_zero(tmp_path):
+    with open(fixture("good_ex1.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "doc.json"
+    outputs = []
+    for depth in (None, 0):
+        doc["expect"]["cover"] = {"d": 2, "l": 1, "k": 2, "c1_log_base": 1, "depth": depth}
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["dims", str(path)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["d_fiber"] == 2
+
+
+@pytest.mark.parametrize("name, record, key", [
+    ("good_ex1.json", ("vertices", 0), "stratum"),
+    ("good_ex1.json", ("vertices", 0), "kind"),
+    ("good_ex1.json", ("legs", 0), "contact"),
+    ("good_ex1.json", (), "legs"),
+    ("good_ex1.json", (), "schema_version"),
+    ("good_ex2.json", ("sections", "v1", "1"), "scale"),
+    ("good_ex2.json", ("sections", "v1", "1"), "divisor"),
+    ("mc_issue_profile.json", ("profile", "families", 0), "multiplicity"),
+    ("mc_issue_profile.json", ("profile", "families", 0), "effective"),
+])
+def test_null_optional_field_reads_as_absent(name, record, key):
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    target = doc
+    for part in record:
+        target = target[part]
+    target[key] = None
+    with_null = schema.parse_document(doc)
+    del target[key]
+    absent = schema.parse_document(doc)
+    assert schema.serialize_document(*with_null[:2]) == schema.serialize_document(*absent[:2])
+    assert with_null[2] == absent[2]
+
+
+def test_empty_characters_or_profile_reads_as_absent():
+    with open(fixture("good_ex2.json")) as fh:
+        doc = json.load(fh)
+    doc.update(characters=[], profile={})
+    _, _, profile, characters, _ = schema.parse_document(doc)
+    assert profile is None and characters is None
+
+
+def test_integer_too_long_to_convert_is_an_input_error(tmp_path):
+    with open(fixture("good_ex1.json")) as fh:
+        text = fh.read()
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace('"N": 2', '"N": ' + "1" * 5000, 1))
+    errors = _errors(path, ["validate"])
+    assert errors["validate"].startswith("invalid JSON: ")
 
 
 def test_into_flags_must_match_the_ends(tmp_path):

@@ -4,7 +4,8 @@ Every fixture is mutated (a value's type changed, a key or list entry
 dropped, an entry replaced by a scalar) and every command runs on each
 mutant in process. Whatever the input, a command exits 0, 1 or 2, prints
 JSON and lets no exception escape, so the console script never prints a
-traceback.
+traceback. A field error names the JSON path of its record, and that path
+resolves to an object in the mutated document.
 """
 
 import copy
@@ -12,6 +13,7 @@ import io
 import json
 import os
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -68,6 +70,21 @@ def _mutate(rng, doc, path):
     return kind, path
 
 
+# "<record path>: field '...'" or "<record path>: missing field '...'"
+FIELD_ERROR = re.compile(r"(document(?:\.[^.\[\]:]+|\[\d+\])*): (?:missing )?field '")
+STEP = re.compile(r"\.([^.\[\]:]+)|\[(\d+)\]")
+
+
+def _resolve(doc, path):
+    """The value at a record path such as document.edges[0] or
+    document.sections.v1.1; KeyError, IndexError or TypeError when it does
+    not resolve."""
+    value = doc
+    for key, index in STEP.findall(path[len("document"):]):
+        value = value[key] if key else value[int(index)]
+    return value
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_every_command_survives_mutated_fixtures(tmp_path, name):
     with open(os.path.join(FIXTURES, name)) as fh:
@@ -87,5 +104,12 @@ def test_every_command_survives_mutated_fixtures(tmp_path, name):
             except Exception as exc:
                 pytest.fail(f"{where} raised {exc!r}")
             assert code in (0, 1, 2), where
-            json.loads(out.getvalue())
+            payload = json.loads(out.getvalue())
             assert "Traceback" not in err.getvalue(), where
+            match = FIELD_ERROR.match(payload.get("error", "")) if code == 2 else None
+            if match:
+                try:
+                    record = _resolve(doc, match.group(1))
+                except (KeyError, IndexError, TypeError):
+                    pytest.fail(f"{where}: {payload['error']!r} names no record of the document")
+                assert isinstance(record, dict), f"{where}: {payload['error']!r}"
