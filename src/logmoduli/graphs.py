@@ -345,7 +345,9 @@ def _violations(graph: DecoratedDualGraph) -> tuple:
         if e.stratum != (u.stratum | w.stratum):
             bad.append(Violation("edge-stratum", e.id, "I_e must equal the union of endpoint strata"))
         if e.contact is not None:
-            bad.extend(Violation(code, e.id, msg) for code, msg in _contact_faults(graph, e, e.contact))
+            bad.extend(Violation(code, e.id, msg)
+                       for i, s in enumerate(e.contact, 1)
+                       for code, msg in _entry_faults(graph, e, i, s))
 
     for l in graph.legs:
         v = graph.vertex(l.vertex)
@@ -372,17 +374,11 @@ def _violations(graph: DecoratedDualGraph) -> tuple:
     return tuple(sorted(bad, key=lambda x: (x.code, x.element, x.message)))
 
 
-def _contact_faults(graph: DecoratedDualGraph, e: Edge, vec):
-    """(code, message) for each entry of vec, a contact vector on the
-    ordinary edge e, that breaks the support or the sign rule: it vanishes
-    outside I_e and is positive toward each end whose stratum lacks it.
-    Each entry is judged on its own."""
-    for i, s in enumerate(vec, 1):
-        yield from _entry_faults(graph, e, i, s)
-
-
 def _entry_faults(graph: DecoratedDualGraph, e: Edge, i: int, s: int):
-    """The faults of _contact_faults in entry i, of value s."""
+    """(code, message) for each way entry i, of value s, of a contact vector
+    on the ordinary edge e breaks the support or the sign rule: it vanishes
+    outside I_e and is positive toward each end whose stratum lacks i.
+    Each entry is judged on its own."""
     if i not in e.stratum:
         if s != 0:
             yield "edge-support", f"entry {i} must vanish outside I_e"
@@ -425,20 +421,15 @@ class DecorationSolution:
         return self.status == "unique"
 
 
-def _support_graph(graph: DecoratedDualGraph, i: int):
-    """Vertex components of the subgraph of edges whose stratum contains i."""
-    edges = [e for e in graph.edges if i in e.stratum]
-    return edges, _components([v.id for v in graph.vertices], [e.ends for e in edges])
-
-
 def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) -> DecorationSolution:
     """Solve for edge contact vectors balancing every vertex.
 
     Works per divisor coordinate on the subgraph of edges allowed to carry it.
-    Trees give the unique leaf-peeled solution; cycles give a particular
-    solution plus a cycle-space basis, enumerated within [-bound, bound] when
-    a bound is supplied.  Sign constraints from the edge invariants are
-    enforced on concrete assignments.
+    One breadth-first spanning forest per coordinate gives the particular
+    solution, peeled from the leaves with every co-tree edge at flow 0, and
+    one fundamental cycle per co-tree edge.  Trees give a unique solution;
+    cycles give a family, enumerated within [-bound, bound] when a bound is
+    supplied.  The edge sign rule filters each coordinate's flows.
     """
     _structural_check(graph)
     if any(e.is_multinode for e in graph.edges):
@@ -454,179 +445,111 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
 
     coord_solutions = []
     for i in range(1, graph.N + 1):
-        edges, comps = _support_graph(graph, i)
-        # conservation per component of the support subgraph
-        for comp in comps:
-            s = sum(demands[vid][i - 1] for vid in comp)
+        edges = [e for e in graph.edges if i in e.stratum]
+        adj = {}
+        for e in edges:
+            adj.setdefault(e.ends[0], []).append(e)
+            adj.setdefault(e.ends[1], []).append(e)
+        # one BFS tree per component of the support subgraph, each rooted at
+        # its first vertex; a component's net demand must vanish
+        order = []
+        depth = {}
+        parent_edge = {}
+        for root in graph.vertices:
+            if root.id in depth:
+                continue
+            start = len(order)
+            order.append(root.id)
+            depth[root.id] = 0
+            k = start
+            while k < len(order):
+                cur = order[k]
+                k += 1
+                for e in adj.get(cur, ()):
+                    other = e.ends[1] if e.ends[0] == cur else e.ends[0]
+                    if other not in depth:
+                        depth[other] = depth[cur] + 1
+                        parent_edge[other] = (e, cur)
+                        order.append(other)
+            s = sum(demands[vid][i - 1] for vid in order[start:])
             if s != 0:
                 return DecorationSolution(
                     status="none",
                     reason=(
                         f"coordinate {i}: flow conservation fails on component "
-                        f"{sorted(comp)} (net demand {s})"
+                        f"{sorted(order[start:])} (net demand {s})"
                     ),
                 )
-        # spanning forest and peeling
+        # peel leaves first: a tree edge carries the net demand of the
+        # subtree below it, oriented ends[0] -> ends[1]
         particular = {e.id: 0 for e in edges}
-        adj = {}
-        for e in edges:
-            adj.setdefault(e.ends[0], []).append(e)
-            adj.setdefault(e.ends[1], []).append(e)
-        tree = set()
-        visited = set()
-        order = []
-        parent_edge = {}
-        for comp in comps:
-            root = sorted(comp)[0]
-            visited.add(root)
-            queue = [root]
-            while queue:
-                cur = queue.pop(0)
-                order.append(cur)
-                for e in adj.get(cur, ()):
-                    other = e.ends[1] if e.ends[0] == cur else e.ends[0]
-                    if other not in visited and e.id not in tree:
-                        tree.add(e.id)
-                        parent_edge[other] = (e, cur)
-                        visited.add(other)
-                        queue.append(other)
-        # co-tree edges get flow 0 in the particular solution; peel leaves
-        residual = {vid: demands[vid][i - 1] for vid in visited}
-        for vid in graph.vertices:
-            residual.setdefault(vid.id, demands[vid.id][i - 1])
+        residual = {vid: d[i - 1] for vid, d in demands.items()}
         for vid in reversed(order):
             if vid in parent_edge:
                 e, par = parent_edge[vid]
-                # flow oriented ends[0] -> ends[1]; balance adds +s at ends[0], -s at ends[1]
-                if e.ends[0] == vid:
-                    flow = residual[vid]
-                else:
-                    flow = -residual[vid]
-                particular[e.id] = flow
-                residual[vid] = 0
-                residual[par] -= flow if e.ends[0] == par else -flow
-        # cycle basis from co-tree edges
+                particular[e.id] = residual[vid] if e.ends[0] == vid else -residual[vid]
+                residual[par] += residual[vid]
+        # one fundamental cycle per co-tree edge, oriented along it: walk the
+        # deeper of its two ends up the tree until they meet
+        tree = {e.id for e, _ in parent_edge.values()}
         basis = []
         for e in edges:
             if e.id in tree:
                 continue
-            cyc = {e.id: 1}
-            # path from ends[1] back to ends[0] through the forest
-            path = _tree_path(parent_edge, e.ends[1], e.ends[0])
-            if path is None:
-                continue
-            for pe, sign in path:
-                cyc[pe.id] = cyc.get(pe.id, 0) + sign
-            basis.append({k: v for k, v in cyc.items() if v})
-        sols = None
-        if bound is not None:
-            sols = tuple(_enumerate_flows(edges, particular, basis, bound))
-        coord_solutions.append(
-            CoordinateSolution(i, particular, tuple(basis), sols)
-        )
+            cycle = {e.id: 1}
+            up, down = e.ends[1], e.ends[0]
+            descent = []
+            while up != down:
+                if depth[up] >= depth[down]:
+                    pe, par = parent_edge[up]
+                    cycle[pe.id] = 1 if pe.ends[0] == up else -1
+                    up = par
+                else:
+                    pe, par = parent_edge[down]
+                    descent.append((pe.id, 1 if pe.ends[0] == par else -1))
+                    down = par
+            cycle.update(reversed(descent))
+            basis.append(cycle)
+        sols = None if bound is None else tuple(_enumerate_flows(particular, basis, bound))
+        coord_solutions.append(CoordinateSolution(i, particular, tuple(basis), sols))
 
-    # assemble
-    total_cycles = sum(len(c.cycle_basis) for c in coord_solutions)
-    if total_cycles == 0:
-        assignment = {}
-        for e in graph.edges:
-            vec = [0] * graph.N
-            for c in coord_solutions:
-                vec[c.coordinate - 1] = c.particular.get(e.id, 0)
-            assignment[e.id] = tuple(vec)
-        if any(fault for e in graph.edges
-               for fault in _contact_faults(graph, e, assignment[e.id])):
-            return DecorationSolution(
-                status="none",
-                reason="unique flow solution violates edge sign constraints",
-                coordinates=tuple(coord_solutions),
-            )
-        return DecorationSolution(
-            status="unique",
-            coordinates=tuple(coord_solutions),
-            assignments=(assignment,),
-        )
-
-    assignments = ()
-    if bound is not None:
-        # the sign rule judges each coordinate on its own, so filtering each
-        # coordinate's flows first keeps the same assignments in the same
-        # order and leaves no assignment to reject
-        per_coord = [
-            [flows for flows in c.solutions or ()
-             if not any(fault for e in graph.edges
-                        for fault in _entry_faults(graph, e, c.coordinate, flows.get(e.id, 0)))]
-            for c in coord_solutions
-        ]
-        _check_enumeration(len(flows) for flows in per_coord)
-        combos = []
-        for pick in itertools.product(*per_coord):
-            assignment = {}
-            for e in graph.edges:
-                vec = [0] * graph.N
-                for c, flows in zip(coord_solutions, pick):
-                    vec[c.coordinate - 1] = flows.get(e.id, 0)
-                assignment[e.id] = tuple(vec)
-            combos.append(assignment)
-        assignments = tuple(combos)
-    return DecorationSolution(
-        status="family",
-        coordinates=tuple(coord_solutions),
-        assignments=assignments,
+    cycles = any(c.cycle_basis for c in coord_solutions)
+    if cycles and bound is None:
+        return DecorationSolution(status="family", coordinates=tuple(coord_solutions))
+    # the sign rule judges each coordinate on its own, so filtering each
+    # coordinate's flows before the product leaves no assignment to reject
+    per_coord = [
+        [flows for flows in (c.solutions if cycles else (c.particular,))
+         if not any(fault for e in graph.edges
+                    for fault in _entry_faults(graph, e, c.coordinate, flows.get(e.id, 0)))]
+        for c in coord_solutions
+    ]
+    _check_enumeration(len(flows) for flows in per_coord)
+    assignments = tuple(
+        {e.id: tuple(flows.get(e.id, 0) for flows in pick) for e in graph.edges}
+        for pick in itertools.product(*per_coord)
     )
+    if cycles:
+        status, reason = "family", ""
+    elif assignments:
+        status, reason = "unique", ""
+    else:
+        status, reason = "none", "unique flow solution violates edge sign constraints"
+    return DecorationSolution(status, reason, tuple(coord_solutions), assignments)
 
 
-def _tree_path(parent_edge, src, dst):
-    """Edges (with sign for flow oriented ends[0]->ends[1]) from src to dst."""
-
-    def chain(v):
-        verts = [v]
-        steps = []
-        while v in parent_edge:
-            e, par = parent_edge[v]
-            steps.append((v, e, par))
-            v = par
-            verts.append(v)
-        return verts, steps
-
-    averts, asteps = chain(src)
-    bverts, bsteps = chain(dst)
-    if averts[-1] != bverts[-1]:
-        return None
-    apos = {v: k for k, v in enumerate(averts)}
-    meet_b = next(k for k, v in enumerate(bverts) if v in apos)
-    meet_a = apos[bverts[meet_b]]
-    out = []
-    for v, e, par in asteps[:meet_a]:
-        # traversal v -> par; +1 if that matches ends[0]->ends[1]
-        out.append((e, 1 if e.ends[0] == v else -1))
-    for v, e, par in reversed(bsteps[:meet_b]):
-        out.append((e, 1 if e.ends[0] == par else -1))
-    return out
-
-
-def _enumerate_flows(edges, particular, basis, bound):
-    if not edges:
-        yield {}
-        return
-    if not basis:
-        if all(abs(v) <= bound for v in particular.values()):
-            yield dict(particular)
-        return
-    # coefficient of each cycle is pinned by its co-tree edge's value
-    ranges = []
-    for cyc in basis:
-        cotree = next(iter(cyc))  # first inserted key is the co-tree edge
-        base = particular.get(cotree, 0)
-        ranges.append(range(-bound - abs(base), bound + abs(base) + 1))
-    _check_enumeration(len(r) for r in ranges)
-    for coeffs in itertools.product(*ranges):
+def _enumerate_flows(particular, basis, bound):
+    """Every flow particular + sum of t * cycle with all entries in
+    [-bound, bound].  A cycle's co-tree edge lies on that cycle alone and
+    carries flow 0 in particular, so t is its flow and ranges over
+    [-bound, bound] too."""
+    coefficients = range(-bound, bound + 1)
+    _check_enumeration(len(coefficients) for _ in basis)
+    for coeffs in itertools.product(coefficients, repeat=len(basis)):
         flow = dict(particular)
-        for t, cyc in zip(coeffs, basis):
-            if t == 0:
-                continue
-            for eid, mult in cyc.items():
-                flow[eid] = flow.get(eid, 0) + t * mult
+        for t, cycle in zip(coeffs, basis):
+            for eid, mult in cycle.items():
+                flow[eid] += t * mult
         if all(abs(v) <= bound for v in flow.values()):
             yield flow
 

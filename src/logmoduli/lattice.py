@@ -98,13 +98,10 @@ class LatticeMap:
     def n_cols(self) -> int:
         return len(self.domain_index)
 
-    def _as_lists(self):
-        return [list(row) for row in self.matrix]
-
     @property
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = il.rank(self._as_lists())
+            self._rank = il.rank(self.matrix)
         return self._rank
 
     @property
@@ -119,19 +116,19 @@ class LatticeMap:
         """HNF-canonical integer basis of {x : M x = 0}, rows in D-coords."""
         if self._kernel is None:
             # without rows the column count is not in the matrix itself
-            kernel = il.kernel(self._as_lists()) if self.n_rows else il.identity(self.n_cols)
+            kernel = il.kernel(self.matrix) if self.n_rows else il.identity(self.n_cols)
             self._kernel = tuple(tuple(r) for r in kernel)
         return self._kernel
 
     def character_basis(self) -> Characters:
         """Saturated basis of {chi : chi o rho = 0} as rows on T-coords."""
         if self._characters is None:
-            self._characters = Characters(il.left_kernel(self._as_lists()), self.codomain_index)
+            self._characters = Characters(il.left_kernel(self.matrix), self.codomain_index)
         return self._characters
 
     def invariant_factors(self):
         if self._invariant_factors is None:
-            self._invariant_factors = tuple(il.smith_normal_form(self._as_lists()))
+            self._invariant_factors = tuple(il.smith_normal_form(self.matrix))
         return self._invariant_factors
 
 

@@ -45,8 +45,7 @@ _ETA = ("an object of objects of Gaussian rationals, keyed by end and coordinate
         ("an object of Gaussian rationals by coordinate", dict, _QI))
 _SECTIONS = ("an object of sections by coordinate", dict, dict)
 _DIVISOR = ("a list of [point, order] pairs", list, ("a [point, order] pair", tuple, (_P1, int)))
-# an edge's image labels are read as the list of its values at "0", "1", ...
-_LABELS = ("an object with a string or null at each end index", list, _TEXT)
+_LABELS = "an object with a string or null at each end index"
 
 _REQUIRED = object()
 
@@ -148,8 +147,12 @@ def parse_document(doc: dict):
         ends = _get(item, "ends", path, _STRS)
         labels = _get(item, "image_labels", path, dict, None)
         if labels is not None:
-            labels = _read([labels.get(str(i)) for i in range(len(ends))], _LABELS, path,
-                           "image_labels")
+            keys = [str(i) for i in range(len(ends))]
+            if not labels.keys() <= set(keys) or any(
+                    x is not None and type(x) is not str for x in labels.values()):
+                raise StructuralError(
+                    f"{path}: field 'image_labels' must be {_LABELS}, got {labels!r}")
+            labels = [labels.get(key) for key in keys]
         edges.append(
             Edge(
                 eid,

@@ -129,6 +129,19 @@ def test_decorate_with_a_large_bound_is_capped():
     assert "decoration enumeration capped" in json.loads(out.getvalue())["error"]
 
 
+def test_decorate_bounded_family_stdout_is_pinned(monkeypatch):
+    # stdout recorded at f44da1e: 25 assignments, each coordinate's flow
+    # around the ghost triangle in [-2, 2]
+    monkeypatch.chdir(FIXTURES)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["decorate", "g_pos_a0_cycle.json", "--bound", "2"])
+    assert code == 0
+    assert len(json.loads(out.getvalue())["assignments"]) == 25
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "b597dc27994e2ed4bb569639c3671c34162b649c5606503f3804329f68998ebe")
+
+
 def test_report_runs_everything():
     proc = run_cli("report", fixture("two_line_ghost.json"))
     payload = json.loads(proc.stdout)
@@ -349,6 +362,12 @@ MALFORMED_DOCUMENTS = [
     ("kind", "good_ex1.json", lambda doc: doc["vertices"][0].update(kind=7)),
     ("positions.0", "good_ex1.json",
      lambda doc: doc["edges"][0].update(positions={"0": "1" * 5000})),
+    # every key of an edge's image labels is an end index of that edge
+    ("image_labels", "mc_dep.json", lambda doc: doc["edges"][0]["image_labels"].update({"x": 1})),
+    ("image_labels", "mc_dep.json",
+     lambda doc: doc["edges"][0].update(image_labels={"0": "alpha", "5": 7})),
+    ("image_labels", "mc_dep.json",
+     lambda doc: doc["edges"][0].update(image_labels={"2": None})),
 ]
 
 
@@ -367,6 +386,20 @@ def test_malformed_key_or_field_is_named_by_every_command(tmp_path, field, name,
         assert code == 2, command
         assert "Traceback" not in err.getvalue()
         assert f"field {field!r} must" in json.loads(out.getvalue())["error"], command
+
+
+def test_image_labels_error_shows_the_input_object(tmp_path):
+    with open(fixture("mc_dep.json")) as fh:
+        doc = json.load(fh)
+    doc["edges"][0]["image_labels"] = {"0": "alpha", "5": 7}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["validate", str(path)]) == 2
+    assert json.loads(out.getvalue())["error"] == (
+        "document.edges[0]: field 'image_labels' must be an object with a string or null "
+        "at each end index, got {'0': 'alpha', '5': 7}")
 
 
 def test_cover_expectation_is_read_or_its_missing_field_named(tmp_path):

@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import logmoduli as lm
 from logmoduli.errors import StructuralError
 
-from conftest import random_balanced_graph, two_line_ghost
+from conftest import random_balanced_graph, random_cycle_rich_graph, two_line_ghost
 
 
 def test_two_line_ghost_graph_is_valid():
@@ -287,3 +290,77 @@ def test_decoration_enumeration_is_capped():
         lm.solve_decorations(g, bound=20)  # 1261 flows per coordinate, 1261^2 pairs
     with pytest.raises(lm.SizeCapError):
         lm.solve_decorations(g, bound=10 ** 6)  # (2 * 10^6 + 1)^2 cycle coefficients
+
+
+# every output of solve_decorations on the pool below, recorded at f44da1e,
+# before the solver became one spanning-forest pass per coordinate
+DECORATION_POOL_DIGEST = "605cc5b2ddd9e8cf"
+DECORATION_POOL_OUTCOMES = {
+    "unique": 297, "family-unbounded": 144, "family-assignments": 142, "family-empty": 141,
+    "conservation": 162, "sign": 9, "cap": 5,
+}
+
+
+def _perturbed_skeleton(rng, graph):
+    """The graph without its contacts; on small graphs one pairing entry may
+    move, alone (conservation usually fails) or against another vertex (the
+    sign rule may fail)."""
+    degrees = {v.id: list(v.degrees) for v in graph.vertices}
+    if graph.N and len(graph.vertices) < 8 and rng.random() < 0.6:
+        i = rng.randrange(graph.N)
+        a, b = rng.choice(graph.vertices).id, rng.choice(graph.vertices).id
+        d = rng.choice((-2, -1, 1, 2))
+        degrees[a][i] += d
+        if rng.random() < 0.7:
+            degrees[b][i] -= d
+    verts = [lm.Vertex(v.id, v.genus, v.stratum, v.c1_log, degrees[v.id], v.kind)
+             for v in graph.vertices]
+    return lm.DecoratedDualGraph(graph.N, graph.n, verts, _skeleton(graph).edges, graph.legs)
+
+
+def _decoration_outcome(graph, bound):
+    """(outcome class, every output in its order) of one solve."""
+    try:
+        sol = lm.solve_decorations(graph, bound=bound)
+    except lm.SizeCapError as exc:
+        return "cap", ["cap", str(exc)]
+    if sol.status == "none":
+        cls = "conservation" if "conservation" in sol.reason else "sign"
+    elif sol.status == "unique":
+        cls = "unique"
+    elif bound is None:
+        cls = "family-unbounded"
+    else:
+        cls = "family-assignments" if sol.assignments else "family-empty"
+    coordinates = [
+        [c.coordinate, list(c.particular.items()),
+         [list(cyc.items()) for cyc in c.cycle_basis],
+         None if c.solutions is None else [list(f.items()) for f in c.solutions]]
+        for c in sol.coordinates
+    ]
+    return cls, [sol.status, sol.reason, coordinates, [list(a.items()) for a in sol.assignments]]
+
+
+def test_decoration_pool_matches_the_recorded_digest():
+    """Status, reason, particular flows, cycle bases, enumerated flows and
+    assignments, each in its order, and any cap message, on 300 seeded
+    skeletons at bounds None, 1 and 3."""
+    rng = random.Random(21)
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for k in range(300):
+        if k % 10 == 1:
+            g = random_cycle_rich_graph(rng, rng.randint(8, 12), N=2)
+        elif k % 2:
+            g = random_cycle_rich_graph(rng, rng.randint(2, 5), N=rng.randint(1, 3))
+        else:
+            g = random_balanced_graph(rng, max_vertices=6, cyclic=True)
+        g = _perturbed_skeleton(rng, g)
+        for bound in (None, 1, 3):
+            cls, out = _decoration_outcome(g, bound)
+            outcomes[cls] += 1
+            digest.update(json.dumps(out).encode())
+    assert dict(outcomes) == DECORATION_POOL_OUTCOMES
+    assert set(outcomes) >= {"unique", "family-unbounded", "family-assignments",
+                             "conservation", "sign", "cap"}
+    assert digest.hexdigest()[:16] == DECORATION_POOL_DIGEST

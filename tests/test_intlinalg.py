@@ -140,3 +140,24 @@ def test_normal_forms_leave_their_argument_alone():
     il.rank(m), il.hnf(m), il.kernel(m), il.left_kernel(m), il.smith_normal_form(m)
     il.lattices_equal(m, m[:2])
     assert m == before
+
+
+def test_normal_forms_read_tuples_and_lists_alike():
+    """A matrix as a tuple of tuples, as LatticeMap passes it, gives every
+    answer that the same matrix as lists gives, and the list is untouched."""
+    rng = random.Random(19)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        m = _rand_matrix(rng, rows, cols, -4, 4)
+        basis = _rand_matrix(rng, rng.randint(1, 4), cols, -3, 3)
+        vec = [rng.randint(-6, 6) for _ in range(cols)]
+        before = [row[:] for row in m]
+        t = tuple(map(tuple, m))
+
+        def answers(a):
+            return (il.hnf(a), il.rank(a), il.kernel(a), il.left_kernel(a),
+                    il.smith_normal_form(a), il.lattices_equal(a, basis),
+                    il.in_lattice(vec, a))
+
+        assert answers(t) == answers(m), m
+        assert m == before

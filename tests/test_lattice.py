@@ -400,3 +400,22 @@ def test_lattice_pool_answers_match_golden(monkeypatch):
             assert workloads.digest(answers[call]) == expected[call], (name, call)
             compared += 1
     assert compared == 120
+
+
+def test_tropical_pool_answers_match_golden(monkeypatch):
+    """The verdict on each of the 80 graphs of the benchmark's tropical pool,
+    its witness under TropicalWitness.check, and its certificate under the
+    benchmark's own Farkas check."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import workloads
+
+    golden = workloads.load_baseline("tropical")
+    keys = [rung + (i,) for rung in workloads.TROPICAL_RUNGS for i in range(workloads.TROPICAL_POOL)]
+    assert len(keys) == len(golden) == 80
+    assert sorted(golden.values()) == [False] * 40 + [True] * 40
+    for key in keys:
+        graph = workloads.tropical_graph(*key)
+        problem = workloads.check_tropical(graph, lm.tropical_feasible(graph),
+                                           golden[workloads.key_str(key)])
+        assert problem is None, (workloads.key_str(key), problem)
