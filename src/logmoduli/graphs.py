@@ -451,7 +451,8 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
             adj.setdefault(e.ends[0], []).append(e)
             adj.setdefault(e.ends[1], []).append(e)
         # one BFS tree per component of the support subgraph, each rooted at
-        # its first vertex; a component's net demand must vanish
+        # its first vertex, which is its least id since graph.vertices is
+        # sorted by id; a component's net demand must vanish
         order = []
         depth = {}
         parent_edge = {}

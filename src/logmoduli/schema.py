@@ -45,7 +45,7 @@ _ETA = ("an object of objects of Gaussian rationals, keyed by end and coordinate
         ("an object of Gaussian rationals by coordinate", dict, _QI))
 _SECTIONS = ("an object of sections by coordinate", dict, dict)
 _DIVISOR = ("a list of [point, order] pairs", list, ("a [point, order] pair", tuple, (_P1, int)))
-_LABELS = "an object with a string or null at each end index"
+_LABELS = ("an object with a string or null at each end index", dict, _TEXT)
 
 _REQUIRED = object()
 
@@ -145,14 +145,13 @@ def parse_document(doc: dict):
         path = f"document.edges[{k}]"
         eid = _get(item, "id", path, str)
         ends = _get(item, "ends", path, _STRS)
-        labels = _get(item, "image_labels", path, dict, None)
-        if labels is not None:
-            keys = [str(i) for i in range(len(ends))]
-            if not labels.keys() <= set(keys) or any(
-                    x is not None and type(x) is not str for x in labels.values()):
-                raise StructuralError(
-                    f"{path}: field 'image_labels' must be {_LABELS}, got {labels!r}")
-            labels = [labels.get(key) for key in keys]
+        try:  # one error, showing the input object, for a bad key or value
+            labels = _get(item, "image_labels", path, _LABELS, None)
+            if labels is not None and not labels.keys() <= set(range(len(ends))):
+                raise StructuralError
+        except StructuralError:
+            raise StructuralError(f"{path}: field 'image_labels' must be {_LABELS[0]}, "
+                                  f"got {item['image_labels']!r}") from None
         edges.append(
             Edge(
                 eid,
@@ -161,7 +160,7 @@ def parse_document(doc: dict):
                 contact=_get(item, "contact", path, _INTS, None),
                 contacts=_get(item, "contacts", path, _ROWS, None),
                 into=_get(item, "into", path, _BOOLS, None),
-                image_labels=labels,
+                image_labels=None if labels is None else [labels.get(i) for i in range(len(ends))],
             )
         )
         for end, point in _get(item, "positions", path, _POINTS, {}).items():

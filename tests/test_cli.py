@@ -142,6 +142,31 @@ def test_decorate_bounded_family_stdout_is_pinned(monkeypatch):
         "b597dc27994e2ed4bb569639c3671c34162b649c5606503f3804329f68998ebe")
 
 
+def test_decorate_stdout_with_vertices_listed_out_of_id_order(tmp_path, monkeypatch):
+    # recorded at f44da1e: the tree is rooted at the least id, w10, so the
+    # flows come in the order of the co-tree edge e2
+    def vertex(vid, d):
+        return {"id": vid, "stratum": [1], "degrees": [d]}
+
+    def edge(eid, a, b):
+        return {"id": eid, "ends": [a, b], "stratum": [1]}
+
+    doc = {"N": 1, "n": 0, "schema_version": "1",
+           "vertices": [vertex("w2", 2), vertex("w5", -1), vertex("w10", -1)],
+           "edges": [edge("e0", "w2", "w10"), edge("e1", "w5", "w10"), edge("e2", "w5", "w2")]}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["decorate", "doc.json", "--bound", "2"]) == 0
+    assert json.loads(out.getvalue()) == {
+        "assignments": [{"e0": [0], "e1": [1], "e2": [-2]}, {"e0": [1], "e1": [0], "e2": [-1]},
+                        {"e0": [2], "e1": [-1], "e2": [0]}],
+        "command": "decorate", "cycle_ranks": {"1": 1}, "input": "doc.json", "reason": "",
+        "status": "family",
+    }
+
+
 def test_report_runs_everything():
     proc = run_cli("report", fixture("two_line_ghost.json"))
     payload = json.loads(proc.stdout)

@@ -364,3 +364,22 @@ def test_decoration_pool_matches_the_recorded_digest():
     assert set(outcomes) >= {"unique", "family-unbounded", "family-assignments",
                              "conservation", "sign", "cap"}
     assert digest.hexdigest()[:16] == DECORATION_POOL_DIGEST
+
+
+def test_decoration_trees_root_at_the_least_vertex_id():
+    # a triangle listed out of id order: the graph holds its vertices in id
+    # order ("w10" < "w2" < "w5"), so the tree is rooted at w10, e0 and e1
+    # are tree edges and e2 is the co-tree edge (recorded at f44da1e)
+    g = lm.DecoratedDualGraph(
+        1, 0,
+        [lm.Vertex("w2", stratum={1}, degrees=(2,)), lm.Vertex("w5", stratum={1}, degrees=(-1,)),
+         lm.Vertex("w10", stratum={1}, degrees=(-1,))],
+        [lm.Edge("e0", ("w2", "w10"), {1}), lm.Edge("e1", ("w5", "w10"), {1}),
+         lm.Edge("e2", ("w5", "w2"), {1})],
+        [],
+    )
+    (c,) = lm.solve_decorations(g, bound=2).coordinates
+    assert list(c.particular.items()) == [("e0", 2), ("e1", -1), ("e2", 0)]
+    assert [list(cycle.items()) for cycle in c.cycle_basis] == [[("e2", 1), ("e0", 1), ("e1", -1)]]
+    assert c.solutions == ({"e0": 0, "e1": 1, "e2": -2}, {"e0": 1, "e1": 0, "e2": -1},
+                           {"e0": 2, "e1": -1, "e2": 0})
