@@ -431,6 +431,8 @@ def solve_decorations(graph: DecoratedDualGraph, bound: Optional[int] = None) ->
     cycles give a family, enumerated within [-bound, bound] when a bound is
     supplied.  The edge sign rule filters each coordinate's flows.
     """
+    if bound is not None and bound < 0:
+        raise InputError(f"decoration bound must be non-negative, got bound = {bound}")
     _structural_check(graph)
     if any(e.is_multinode for e in graph.edges):
         raise InputError("solve_decorations requires a graph without multi-nodes")

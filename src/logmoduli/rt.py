@@ -119,22 +119,18 @@ class MapModel:
 
     def rt_graph(self) -> RTGraph:
         g = self.graph
-        vertices = {}
-        for v in g.vertices:
-            vertices[v.id] = RTVertex(
+        vertices = {
+            v.id: RTVertex(
                 v.id, v.kind, v.genus, v.c1_log, v.stratum, v.image_label,
                 cover_degree=v.cover_degree or 1,
                 base_c1_log=v.base_c1_log,
             )
-        nodes = {}
-        for e in g.edges:
-            branches = []
-            for idx, vid in enumerate(e.ends):
-                label = None
-                if e.image_labels is not None:
-                    label = e.image_labels[idx]
-                branches.append((vid, label))
-            nodes[e.id] = RTNode(e.id, e.stratum, tuple(branches))
+            for v in g.vertices
+        }
+        nodes = {
+            e.id: RTNode(e.id, e.stratum, zip(e.ends, e.image_labels or (None,) * len(e.ends)))
+            for e in g.edges
+        }
         legs = {l.id: RTLeg(l.id, l.vertex, l.image_label) for l in g.legs}
         return RTGraph(vertices, nodes, legs, g.n)
 
@@ -159,56 +155,40 @@ class ReductionTrace:
 
 def rt_reduce(model: MapModel) -> ReductionTrace:
     g0 = model.rt_graph()
-    q_values = [g0.q_value()]
-    genus = [g0.total_genus()]
-    ledgers = [g0.ledger()]
-
     g1, ghost_deltas = _step_collapse_ghosts(g0.clone())
     g2, cover_deltas = _step_replace_covers(g1)
     g3 = _step_contract_equal_image_trees(g2)
-    q_values.append(g3.q_value())
-    genus.append(g3.total_genus())
-    ledgers.append(g3.ledger())
-
     g4 = _step_identify_equal_images(g3.clone())
-    q_values.append(g4.q_value())
-    genus.append(g4.total_genus())
-    ledgers.append(g4.ledger())
-
-    red = {}
-    mult = {}
-    for v in g4.vertices.values():
-        if v.kind != PRINCIPAL:
-            mult[v.id] = v.multiplicity
-            for origin in v.origins:
-                red[origin] = v.id
+    stages = (("gamma", g0), ("gamma_prime", g3), ("gamma_double_prime", g4))
+    bubbles = [v for v in g4.vertices.values() if v.kind != PRINCIPAL]
     return ReductionTrace(
-        stages=(("gamma", g0), ("gamma_prime", g3), ("gamma_double_prime", g4)),
-        q_values=tuple(q_values),
+        stages=stages,
+        q_values=tuple(g.q_value() for _, g in stages),
         ghost_deltas=tuple(ghost_deltas),
         cover_deltas=tuple(cover_deltas),
-        red=red,
-        multiplicities=mult,
-        genus_by_stage=tuple(genus),
-        ledgers=tuple(ledgers),
+        red={origin: v.id for v in bubbles for origin in v.origins},
+        multiplicities={v.id: v.multiplicity for v in bubbles},
+        genus_by_stage=tuple(g.total_genus() for _, g in stages),
+        ledgers=tuple(g.ledger() for _, g in stages),
     )
 
 
 def _step_collapse_ghosts(g: RTGraph):
     deltas = []
-    while True:
-        ghosts = {vid for vid, v in g.vertices.items() if v.kind == GHOST}
-        if not ghosts:
-            break
-        # one connected ghost cluster at a time, the one holding the first ghost
-        seed = sorted(ghosts)[0]
-        cluster = set(_components(
-            sorted(ghosts), ([b[0] for b in node.branches] for node in g.nodes.values())
-        )[0])
-        internal = [nid for nid, node in g.nodes.items()
-                    if all(b[0] in cluster for b in node.branches)]
-        external = [nid for nid, node in g.nodes.items()
-                    if nid not in internal and any(b[0] in cluster for b in node.branches)]
+    ghosts = sorted(vid for vid, v in g.vertices.items() if v.kind == GHOST)
+    # an external node of one cluster touches no ghost of another, or it
+    # would join the two, so collapsing a cluster leaves the others as they
+    # were; the clusters come in the order of their least ghost
+    node_ends = ([b[0] for b in node.branches] for node in g.nodes.values())
+    for members in _components(ghosts, node_ends):
+        cluster = set(members)
+        internal, external = [], []
+        for nid, node in g.nodes.items():
+            inside = [b[0] in cluster for b in node.branches]
+            if all(inside):
+                internal.append(nid)
+            elif any(inside):
+                external.append(nid)
         if any(g.nodes[nid].arrows > 2 for nid in internal + external):
             raise InputError("ghost clusters must consist of ordinary nodes")
         # a stable ghost cluster is a tree
@@ -226,22 +206,17 @@ def _step_collapse_ghosts(g: RTGraph):
             # no multi-node survives: the attachment point on the other side
             # is forgotten as well, one extra unit of configuration
             delta += 1
-        deltas.append((tuple(sorted(cluster)), delta))
+        deltas.append((tuple(members), delta))
         for lid in marks:
             del g.legs[lid]
         for nid in internal:
             del g.nodes[nid]
-        branches = []
-        for nid in sorted(external):
-            node = g.nodes[nid]
-            for b in node.branches:
-                if b[0] not in cluster:
-                    branches.append(b)
-            del g.nodes[nid]
+        branches = [b for nid in sorted(external) for b in g.nodes.pop(nid).branches
+                    if b[0] not in cluster]
         for vid in cluster:
             del g.vertices[vid]
         if len(branches) >= 2:
-            new_id = "m_" + seed
+            new_id = "m_" + members[0]
             g.nodes[new_id] = RTNode(new_id, stratum, tuple(branches))
         # a single branch simply evaporates with the cluster
     return g, deltas
@@ -255,8 +230,6 @@ def _step_replace_covers(g: RTGraph):
         if d <= 1:
             continue
         before = len(_special_points_of(g, vid))
-        if v.base_c1_log is None:
-            raise InputError(f"cover bubble {vid!r} lacks base pairings")
         base = v.base_c1_log
         if v.c1_log != d * base:
             raise InputError(
@@ -284,42 +257,33 @@ def _special_points_of(g: RTGraph, vid: str):
 
 
 def _merge_labelled_points(g: RTGraph, vid: str):
-    """Fuse special points on one component that share an image label."""
-    pts = _special_points_of(g, vid)
-    by_label: Dict[str, list] = {}
-    for p in pts:
-        label = p[3]
-        if label is not None:
-            by_label.setdefault(label, []).append(p)
-    for label, group in sorted(by_label.items()):
+    """Fuse special points on one component that share an image label.
+
+    The labels go in sorted order, and each reads the points as the
+    fusions before it left them: a fusion removes nodes, and moves the
+    points of other labels onto the node it keeps."""
+    for label in sorted({p[3] for p in _special_points_of(g, vid)} - {None}):
+        group = [p for p in _special_points_of(g, vid) if p[3] == label]
         if len(group) < 2:
             continue
         kinds = {p[0] for p in group}
         if kinds == {"leg"}:
-            keep = sorted(p[1] for p in group)[0]
-            for _, lid, _, _ in group:
-                if lid != keep:
-                    del g.legs[lid]
+            for lid in sorted(p[1] for p in group)[1:]:
+                del g.legs[lid]
         elif kinds == {"node"}:
-            node_ids = sorted({p[1] for p in group})
-            keep = node_ids[0]
-            merged = []
+            keep, *others = sorted({p[1] for p in group})
             stratum = g.nodes[keep].stratum
-            seen_self = False
-            for nid in node_ids:
-                node = g.nodes[nid]
-                if node.stratum != stratum:
-                    raise InputError(f"merging nodes with different strata at label {label!r}")
-                for j, b in enumerate(node.branches):
-                    if b[0] == vid and (nid, j) in {(p[1], p[2]) for p in group}:
-                        if not seen_self:
-                            merged.append(b)
-                            seen_self = True
-                        continue
-                    merged.append(b)
-                if nid != keep:
-                    del g.nodes[nid]
-            g.nodes[keep] = RTNode(keep, stratum, tuple(merged))
+            if any(g.nodes[nid].stratum != stratum for nid in others):
+                raise InputError(f"merging nodes with different strata at label {label!r}")
+            # the labelled point on vid stays once, at its first place
+            points = {(p[1], p[2]) for p in group}
+            first = min(points)
+            g.nodes[keep].branches = tuple(
+                b for nid in (keep, *others) for j, b in enumerate(g.nodes[nid].branches)
+                if (nid, j) not in points or (nid, j) == first
+            )
+            for nid in others:
+                del g.nodes[nid]
         else:
             raise InputError(
                 f"image label {label!r} identifies a marked point with a node; unsupported"
@@ -327,9 +291,8 @@ def _merge_labelled_points(g: RTGraph, vid: str):
 
 
 def _step_contract_equal_image_trees(g: RTGraph) -> RTGraph:
-    changed = True
-    while changed:
-        changed = False
+    # each fusion may merge nodes, so the scan starts over after it
+    while g.nodes:
         for nid in sorted(g.nodes):
             node = g.nodes[nid]
             if node.arrows != 2:
@@ -343,13 +306,14 @@ def _step_contract_equal_image_trees(g: RTGraph) -> RTGraph:
             if va.image_label is None or va.image_label != vb.image_label:
                 continue
             _fuse_vertices(g, a, b, drop_node=nid)
-            _merge_labelled_points(g, a)
-            changed = True
+            break
+        else:
             break
     return g
 
 
 def _fuse_vertices(g: RTGraph, keep: str, drop: str, drop_node: Optional[str] = None):
+    """Identify drop with keep, then fuse the labelled points on keep."""
     vk, vd = g.vertices[keep], g.vertices[drop]
     if vk.stratum != vd.stratum:
         raise InputError("cannot identify components with different strata")
@@ -357,36 +321,26 @@ def _fuse_vertices(g: RTGraph, keep: str, drop: str, drop_node: Optional[str] = 
     vk.origins = tuple(sorted(set(vk.origins) | set(vd.origins)))
     if drop_node is not None:
         del g.nodes[drop_node]
-    for nid in list(g.nodes):
-        node = g.nodes[nid]
-        if any(b[0] == drop for b in node.branches):
-            g.nodes[nid] = RTNode(
-                node.id,
-                node.stratum,
-                tuple((keep if b[0] == drop else b[0], b[1]) for b in node.branches),
-            )
+    for node in g.nodes.values():
+        node.branches = tuple((keep if b[0] == drop else b[0], b[1]) for b in node.branches)
     for leg in g.legs.values():
         if leg.vertex == drop:
             leg.vertex = keep
     del g.vertices[drop]
+    _merge_labelled_points(g, keep)
 
 
 def _step_identify_equal_images(g: RTGraph) -> RTGraph:
-    # components first
-    changed = True
-    while changed:
-        changed = False
-        by_label: Dict[str, list] = {}
-        for vid, v in g.vertices.items():
-            if v.kind != PRINCIPAL and v.image_label is not None:
-                by_label.setdefault(v.image_label, []).append(vid)
-        for label, ids in sorted(by_label.items()):
-            if len(ids) >= 2:
-                ids = sorted(ids)
-                _fuse_vertices(g, ids[0], ids[1])
-                _merge_labelled_points(g, ids[0])
-                changed = True
-                break
+    # components first: a fusion changes no other vertex's label, so each
+    # label's bubbles join into its least id, label by label
+    by_label: Dict[str, list] = {}
+    for vid, v in g.vertices.items():
+        if v.kind != PRINCIPAL and v.image_label is not None:
+            by_label.setdefault(v.image_label, []).append(vid)
+    for label in sorted(by_label):
+        keep, *others = sorted(by_label[label])
+        for drop in others:
+            _fuse_vertices(g, keep, drop)
     # then remaining labelled point identifications on every component
     for vid in sorted(g.vertices):
         _merge_labelled_points(g, vid)
@@ -423,9 +377,11 @@ def classify_cluster(model: MapModel, cluster_ids, nef: Optional[bool] = None) -
     g = model.graph
     cluster = set(cluster_ids)
     for vid in cluster:
-        v = g.vertex(vid)
-        if v.kind == PRINCIPAL:
+        if g.vertex(vid).kind == PRINCIPAL:
             raise InputError(f"vertex {vid!r} is not a bubble")
+
+    def positive(contact):
+        return contact is not None and any(x > 0 for x in contact)
 
     external_nodes = 0
     internal_edges = []
@@ -433,55 +389,32 @@ def classify_cluster(model: MapModel, cluster_ids, nef: Optional[bool] = None) -
         inside = [vid in cluster for vid in e.ends]
         if all(inside):
             internal_edges.append(e)
-        elif any(inside):
-            external_nodes += sum(1 for x in inside if x)
-    marks = [l for l in g.legs if l.vertex in cluster]
-    external_marks = len(marks)
-
-    delta_plus = {}
-    for vid in sorted(cluster):
-        count = 0
-        for e, idx in g.edges_at(vid):
-            c = e.end_contact(idx)
-            if c is not None and any(x > 0 for x in c):
-                count += 1
-        for l in g.legs_at(vid):
-            if any(x > 0 for x in l.contact):
-                count += 1
-        delta_plus[vid] = count
-
-    total_external = external_nodes + external_marks
-    if external_nodes == 0 or total_external > 2:
-        ctype = "not-a-cluster"
-    elif external_nodes == 1 and external_marks == 0:
-        ctype = "i"
-    elif external_nodes == 1 and external_marks == 1:
-        ctype = "ii"
-    elif external_nodes == 2 and external_marks == 0:
-        ctype = "iii"
-    else:
-        ctype = "not-a-cluster"
+        else:
+            external_nodes += sum(inside)
+    external_marks = sum(l.vertex in cluster for l in g.legs)
+    delta_plus = {
+        vid: sum(positive(e.end_contact(idx)) for e, idx in g.edges_at(vid))
+        + sum(positive(l.contact) for l in g.legs_at(vid))
+        for vid in sorted(cluster)
+    }
+    ctype = {(1, 0): "i", (1, 1): "ii", (2, 0): "iii"}.get(
+        (external_nodes, external_marks), "not-a-cluster"
+    )
 
     chain = []
     if ctype != "not-a-cluster":
         for e in internal_edges:
             for idx in (0, 1):
-                c = e.end_contact(idx)
-                if c is None or not any(x > 0 for x in c):
+                if not positive(e.end_contact(idx)):
                     continue
                 # positive point on ends[idx] pointing into the sub-cluster
-                # hanging off ends[1-idx]
+                # hanging off ends[1-idx]; it is a chain if that sub-cluster
+                # carries no mark and meets nothing outside the cluster
                 sub = _subcluster(g, cluster, e, 1 - idx)
-                if sub is None:
+                if sub is None or any(l.vertex in sub for l in g.legs):
                     continue
-                submarks = any(l.vertex in sub for l in g.legs)
-                subext = any(
-                    (vid2 not in cluster)
-                    for e2 in g.edges
-                    for vid2 in e2.ends
-                    if any(x in sub for x in e2.ends) and vid2 not in sub
-                )
-                if not submarks and not subext:
+                if not any(not sub.isdisjoint(e2.ends) and not cluster.issuperset(e2.ends)
+                           for e2 in g.edges):
                     chain.append((e.id, e.ends[idx]))
     bound_ok = None
     if nef is not None:

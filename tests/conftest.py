@@ -526,6 +526,74 @@ def random_map_model(rng: random.Random):
     return lm.MapModel(g)
 
 
+def random_rt_model(rng: random.Random):
+    """A graph for the reduction, which MapModel or rt_reduce may reject.
+
+    N is 0 or 1, and every stratum is {1} when N = 1, so no sign rule
+    applies.  One principal component and 1-7 bubbles and ghosts lie on a
+    random tree plus 0-3 extra edges (loops and, rarely, a three-branch
+    node included).  Image labels a, b, c or none sit on vertices, edge
+    ends and legs; some bubbles are covers of degree 2 or 3; a leg balances
+    each ghost, and every other vertex takes its contact sum as pairings.
+    A few bubbles break the model: genus 1, a missing base pairing or a
+    class pairing off its degree.
+    """
+    N = rng.randint(0, 1)
+    stratum = frozenset(range(1, N + 1))
+    labels = ("a", "b", "c", None)
+    ids = [f"v{k}" for k in range(rng.randint(2, 8))]
+    principal = rng.choice(ids)
+    kinds = {vid: "principal" if vid == principal else rng.choice(("bubble", "ghost"))
+             for vid in ids}
+
+    def contact():
+        return tuple(rng.randint(-2, 2) for _ in range(N))
+
+    def end_labels(ends):
+        return tuple(rng.choice(labels) for _ in ends) if rng.random() < 0.6 else None
+
+    pairs = []
+    order = ids[:]
+    rng.shuffle(order)
+    for k in range(1, len(order)):
+        pair = [order[k], rng.choice(order[:k])]
+        rng.shuffle(pair)
+        pairs.append(tuple(pair))
+    pairs += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 3))]
+    edges = [lm.Edge(f"e{k}", ends, stratum, contact=contact(), image_labels=end_labels(ends))
+             for k, ends in enumerate(pairs, 1)]
+    if rng.random() < 0.1:
+        ends = tuple(rng.choice(ids) for _ in range(3))
+        edges.append(lm.Edge("m", ends, stratum, contacts=((0,) * N,) * 3,
+                             image_labels=end_labels(ends)))
+    legs = [lm.Leg(f"z{k}", rng.choice(ids), contact(), image_label=rng.choice(labels))
+            for k in range(rng.randint(0, 3))]
+    graph = lm.DecoratedDualGraph(N, 3, [lm.Vertex(vid, 0, stratum, 0, (0,) * N) for vid in ids],
+                                  edges, legs)
+    legs += [lm.Leg(f"w{vid}", vid, tuple(-x for x in graph.balance(vid)),
+                    image_label=rng.choice(labels))
+             for vid in ids if kinds[vid] == "ghost"]
+    graph = lm.DecoratedDualGraph(N, 3, graph.vertices, edges, legs)
+    verts = []
+    for vid in ids:
+        kind = kinds[vid]
+        genus, c1_log, cover = 0, 0, {}
+        if kind == "principal":
+            genus, c1_log = rng.randint(0, 1), rng.randint(0, 4)
+        elif kind == "bubble":
+            c1_log = rng.randint(0, 3)
+            genus = 1 if rng.random() < 0.03 else 0
+            if rng.random() < 0.35:
+                d, base = rng.choice((2, 3)), rng.randint(0, 2)
+                c1_log = d * base + (1 if rng.random() < 0.08 else 0)
+                cover = {"cover_degree": d,
+                         "base_c1_log": None if rng.random() < 0.05 else base}
+        label = rng.choice(labels) if kind != "principal" or rng.random() < 0.2 else None
+        verts.append(lm.Vertex(vid, genus, stratum, c1_log, graph.balance(vid), kind,
+                               image_label=label, **cover))
+    return lm.DecoratedDualGraph(N, 3, verts, edges, legs)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -129,6 +129,16 @@ def test_decorate_with_a_large_bound_is_capped():
     assert "decoration enumeration capped" in json.loads(out.getvalue())["error"]
 
 
+def test_decorate_with_a_negative_bound_is_an_input_error():
+    for name in ("g_pos_a0_cycle.json", "g0_a0_tree.json"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["decorate", fixture(name), "--bound", "-1"])
+        assert code == 2
+        assert "Traceback" not in err.getvalue()
+        assert "bound = -1" in json.loads(out.getvalue())["error"]
+
+
 def test_decorate_bounded_family_stdout_is_pinned(monkeypatch):
     # stdout recorded at f44da1e: 25 assignments, each coordinate's flow
     # around the ghost triangle in [-2, 2]

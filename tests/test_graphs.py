@@ -7,7 +7,7 @@ import random
 import pytest
 
 import logmoduli as lm
-from logmoduli.errors import StructuralError
+from logmoduli.errors import InputError, StructuralError
 
 from conftest import random_balanced_graph, random_cycle_rich_graph, two_line_ghost
 
@@ -292,7 +292,16 @@ def test_decoration_enumeration_is_capped():
         lm.solve_decorations(g, bound=10 ** 6)  # (2 * 10^6 + 1)^2 cycle coefficients
 
 
-# every output of solve_decorations on the pool below, recorded at f44da1e,
+def test_negative_decoration_bound_is_rejected():
+    I = frozenset({1})
+    verts = [lm.Vertex(v, 0, I, 0, (0,), "ghost") for v in "ab"]
+    edges = [lm.Edge(f"e{k}", ("a", "b"), I) for k in range(2)]
+    g = lm.DecoratedDualGraph(1, 3, verts, edges, [lm.Leg("z", "a", (0,))])
+    assert len(lm.solve_decorations(g, bound=0).assignments) == 1
+    with pytest.raises(InputError, match="bound = -2"):
+        lm.solve_decorations(g, bound=-2)
+
+
 # before the solver became one spanning-forest pass per coordinate
 DECORATION_POOL_DIGEST = "605cc5b2ddd9e8cf"
 DECORATION_POOL_OUTCOMES = {

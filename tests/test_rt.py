@@ -1,9 +1,19 @@
+import collections
+import dataclasses
+import hashlib
+import json
+import random
+import re
+
 import pytest
 
 import logmoduli as lm
+from logmoduli import cli
 from logmoduli.errors import InputError
 
-from conftest import good_ex2, mc_dep, random_map_model, two_ghost_clusters, two_line_ghost
+from conftest import (
+    good_ex2, mc_dep, random_map_model, random_rt_model, two_ghost_clusters, two_line_ghost,
+)
 
 
 def test_two_line_ghost_reduction_creates_three_branch_multinode():
@@ -293,3 +303,146 @@ def test_two_ghost_clusters_collapse_one_at_a_time():
     trace = lm.rt_reduce(lm.MapModel(two_ghost_clusters()))
     assert trace.ghost_deltas == ((("g1", "g2"), 2), (("g3",), 1))
     assert trace.stage("gamma_prime").nodes == {}
+
+
+# -- the reduction pinned on a seeded pool ------------------------------------
+
+# every output of rt_reduce and classify_cluster on the pool below, recorded
+# at d806948, before each reduction step became one pass; the models listed
+# in RT_POOL_CRASHES ended there in a KeyError and are left out
+RT_POOL_DIGEST = "220f2bc9c6a1dbdd"
+RT_POOL_CRASHES = (288, 338, 523, 648, 1632, 2007, 2145, 2439)
+RT_POOL_OUTCOMES = {
+    "reduced": 1608, "ghost": 1361, "cover": 784, "step iii": 204, "step iv": 270,
+    "error: cover bubble _ needs base pairings": 89,
+    "error: cover bubble _: class pairing _ != degree x base _": 114,
+    "error: ghost cluster is not a tree": 457,
+    "error: ghost clusters must consist of ordinary nodes": 171,
+    "error: image label _ identifies a marked point with a node; unsupported": 380,
+    "error: map model graph is invalid: [bubble-genus] v_": 173,
+    "cluster i": 594, "cluster ii": 1035, "cluster iii": 542, "cluster not-a-cluster": 6045,
+    "cluster error: vertex _ is not a bubble": 2704, "chain violation": 47,
+}
+
+
+def _plain(x):
+    """x as JSON-ready lists, keeping every dict's order and every field."""
+    if dataclasses.is_dataclass(x):
+        return [[f.name, _plain(getattr(x, f.name))] for f in dataclasses.fields(x)]
+    if isinstance(x, dict):
+        return [[_plain(k), _plain(v)] for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_plain(y) for y in x]
+    if isinstance(x, frozenset):
+        return sorted(x)
+    return x
+
+
+def _error(exc):
+    """(outcome class, output) of a LogModuliError: its message up to any
+    second colon, with quoted names and numbers replaced, is its family."""
+    family = ":".join(re.sub(r"'[^']*'|\d+", "_", str(exc)).split(":")[:2])
+    return f"error: {family}", [type(exc).__name__, str(exc)]
+
+
+def _rt_pool():
+    """(index, model graph, four (cluster ids, nef) picks) of the pool, all
+    drawn before anything runs, so an outcome cannot shift a later draw."""
+    rng = random.Random(21)
+    for index in range(3000):
+        graph = random_rt_model(rng)
+        picks = [(_connected_pick(rng, graph), rng.choice((None, True, False)))
+                 for _ in range(4)]
+        yield index, graph, picks
+
+
+def _connected_pick(rng, graph):
+    """A random vertex, the principal one included, grown by up to two
+    adjacent non-principal vertices."""
+    ids = [rng.choice(graph.vertices).id]
+    for _ in range(rng.randint(0, 2)):
+        nearby = sorted({vid for e in graph.edges if set(e.ends) & set(ids) for vid in e.ends
+                         if vid not in ids and graph.vertex(vid).kind != "principal"})
+        if nearby:
+            ids.append(rng.choice(nearby))
+    return ids
+
+
+def _rt_outcome(graph, picks):
+    """(outcome classes, every output) of one pool model."""
+    try:
+        model = lm.MapModel(graph)
+    except lm.LogModuliError as exc:
+        cls, out = _error(exc)
+        return [cls], out
+    classes = []
+    try:
+        trace = lm.rt_reduce(model)
+    except lm.LogModuliError as exc:
+        cls, rt_out = _error(exc)
+        classes.append(cls)
+    else:
+        rt_out = _plain(trace)
+        prime = trace.stage("gamma_prime")
+        classes.append("reduced")
+        classes += ["ghost"] * bool(trace.ghost_deltas) + ["cover"] * bool(trace.cover_deltas)
+        classes += ["step iii"] * any(len(v.origins) > 1 for v in prime.vertices.values())
+        classes += ["step iv"] * (len(trace.stage("gamma_double_prime").vertices)
+                                  < len(prime.vertices))
+    clusters = []
+    for ids, nef in picks:
+        try:
+            report = lm.classify_cluster(model, ids, nef=nef)
+        except lm.LogModuliError as exc:
+            cls, out = _error(exc)
+            classes.append("cluster " + cls)
+            clusters.append(out)
+            continue
+        classes.append("cluster " + report.cluster_type)
+        classes += ["chain violation"] * bool(report.chain_violations)
+        clusters.append(_plain(report))
+    return classes, [rt_out, clusters]
+
+
+def test_rt_pool_matches_the_recorded_digest():
+    """Every stage's vertices, nodes and legs in their order, the tracking
+    quantities, deltas, red map, multiplicities, genera and ledgers, four
+    classify_cluster reports, and each error's class and message, on 3000
+    seeded models."""
+    digest = hashlib.sha256()
+    outcomes = collections.Counter()
+    for index, graph, picks in _rt_pool():
+        if index in RT_POOL_CRASHES:
+            continue
+        classes, out = _rt_outcome(graph, picks)
+        outcomes.update(classes)
+        digest.update(json.dumps(out, sort_keys=True).encode())
+    assert dict(outcomes) == RT_POOL_OUTCOMES
+    assert digest.hexdigest()[:16] == RT_POOL_DIGEST
+
+
+def test_rt_pool_models_that_crashed_now_reduce_or_raise_an_input_error():
+    # fusing one image label used to delete a node that the next label's
+    # points still named
+    for index, graph, picks in _rt_pool():
+        if index in RT_POOL_CRASHES:
+            classes, _ = _rt_outcome(graph, picks)
+            assert classes[0] == "reduced" or classes[0].startswith("error: ")
+
+
+def test_rt_fuses_labels_in_turn_on_a_loop_that_carries_two_labels(tmp_path, capsys):
+    # fusing label a on b removes the loop e2, whose other end carries label b
+    doc = {"N": 0, "n": 3,
+           "vertices": [{"id": "p", "c1_log": 1, "degrees": []},
+                        {"id": "b", "kind": "bubble", "c1_log": 1, "degrees": []}],
+           "edges": [{"id": "e1", "ends": ["p", "b"], "contact": [], "image_labels": {"1": "a"}},
+                     {"id": "e2", "ends": ["b", "b"], "contact": [],
+                      "image_labels": {"0": "a", "1": "b"}},
+                     {"id": "e3", "ends": ["p", "b"], "contact": [], "image_labels": {"1": "b"}}],
+           "legs": []}
+    path = tmp_path / "loop_two_labels.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["rt", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code in (0, 1)
+    assert payload["stages"]["gamma_double_prime"]["nodes"] == {"e1": ["b", "b", "p", "p"]}
