@@ -16,12 +16,17 @@ No public routine carries the unimodular transform U of U*M = H, whose
 entries grow without bound under Euclidean elimination: kernels come from a
 rational null space saturated modulo its common denominator (Cohen, *A
 Course in Computational Algebraic Number Theory*, 2.4; Domich, Kannan and
-Trotter 1987), the one place that uses modular arithmetic.  The Smith
-normal form has no elimination of its own: it alternates the Hermite form
-of the matrix and of its transpose until the matrix is diagonal (Kannan
-and Bachem 1979), then turns the diagonal into a divisibility chain.  Every
-answer is canonical (the rank, the HNF, the HNF-canonical kernels and the
-invariant factors), so it does not depend on which pivot breaks a tie.
+Trotter 1987), the one place that uses modular arithmetic.  The kernel
+reads a row echelon form of the matrix with its column order reversed and
+never changes it, so a caller that keeps that echelon form (a lattice map
+does) takes its rank, its kernel and its Smith form from one elimination.
+The Smith normal form has no elimination of its own: it starts from any
+echelon form of the matrix, its columns in any order, reduced above its
+pivots, and alternates the Hermite form of the matrix and of its transpose
+until the matrix is diagonal (Kannan and Bachem 1979), then turns the
+diagonal into a divisibility chain.  Every answer is canonical (the rank,
+the HNF, the HNF-canonical kernels and the invariant factors), so it does
+not depend on which pivot breaks a tie.
 `hnf_row` keeps the dense, U-certified elimination as the reference the
 tests compare against.
 """
@@ -211,10 +216,16 @@ def rank(m):
     return len(_echelon(_sparse(m), _width(m)))
 
 
+def _reversed(m, cols):
+    """Sparse rows of M with the column order reversed: column j under key
+    cols - 1 - j."""
+    return [{cols - 1 - j: x for j, x in enumerate(row) if x} for row in m]
+
+
 def kernel(m):
     """Basis of {x in Z^cols : M*x = 0} as a list of rows, HNF-canonical."""
     cols = _width(m)
-    return _kernel([{cols - 1 - j: x for j, x in enumerate(row) if x} for row in m], cols)
+    return _null_space(_echelon(_reversed(m, cols), cols), cols)
 
 
 def left_kernel(m):
@@ -225,17 +236,18 @@ def left_kernel(m):
         for j, x in enumerate(row):
             if x:
                 reversed_t[j][n - 1 - i] = x
-    return _kernel(reversed_t, n)
+    return _null_space(_echelon(reversed_t, n), n)
 
 
-def _kernel(rows, cols):
-    """`kernel` of the matrix given by its sparse rows with the column order
-    reversed (column j under key cols - 1 - j); consumes the rows.
+def _null_space(h, cols):
+    """`kernel` of M from the nonzero rows h of a row echelon form of M with
+    its column order reversed (column j under key cols - 1 - j), positive
+    pivots; h is only read.
 
     Rational null space plus saturation, without a transform:
-      1. take a row echelon form of M with its column order reversed; row
-         operations keep the null space, and the columns this echelon form
-         leaves free are exactly the pivot columns of the kernel's own HNF;
+      1. row operations keep the null space, and the columns the reversed
+         echelon form leaves free are exactly the pivot columns of the
+         kernel's own HNF;
       2. back-substitute on those rows to get the rational basis C = N/d of
          the null space with an identity block on the free columns, which
          is the kernel's reduced row echelon form;
@@ -244,7 +256,6 @@ def _kernel(rows, cols):
          built one pivot column at a time with every entry reduced mod d;
       4. the HNF of Lambda mapped through C is the HNF of the kernel.
     """
-    h = _echelon(rows, cols)
     pivots = [min(row) for row in h]
     taken = set(pivots)
     free = [j for j in range(cols - 1, -1, -1) if j not in taken]
@@ -352,15 +363,21 @@ def _clear_mod(live, j, d):
 
 
 def smith_normal_form(m):
-    """Diagonal invariant factors d_1 | d_2 | ... of M (nonzero ones only).
+    """Diagonal invariant factors d_1 | d_2 | ... of M (nonzero ones only)."""
+    return _smith(_hnf_rows(_sparse(m), _width(m)))
 
-    Alternating Hermite forms (Kannan and Bachem 1979): the nonzero rows of
-    hnf(M), then of hnf of their transpose, and so on until the matrix is
-    diagonal, that is until row i is exactly {i: v}; both steps keep the
-    Smith form.  Pairwise (gcd, lcm) steps then turn the diagonal entries
-    other than 1 into a divisibility chain, which the 1s precede.
+
+def _smith(h):
+    """`smith_normal_form` of M from the nonzero rows h of a row HNF of M,
+    its columns in any order; h is only read.
+
+    Alternating Hermite forms (Kannan and Bachem 1979): h, then the nonzero
+    rows of the HNF of its transpose, and so on until the matrix is
+    diagonal, that is until row i is exactly {i: v}; permuting columns and
+    both steps keep the Smith form.  Pairwise (gcd, lcm) steps then turn
+    the diagonal entries other than 1 into a divisibility chain, which the
+    1s precede.
     """
-    h = _hnf_rows(_sparse(m), _width(m))
     while not all(len(row) == 1 and i in row for i, row in enumerate(h)):
         t = {}
         for i, row in enumerate(h):

@@ -85,7 +85,7 @@ class LatticeMap:
         self.domain_index = tuple(domain_index)
         self.codomain_index = tuple(codomain_index)
         self.graph = graph
-        self._rank = None
+        self._echelon = None
         self._kernel = None
         self._characters = None
         self._invariant_factors = None
@@ -98,11 +98,17 @@ class LatticeMap:
     def n_cols(self) -> int:
         return len(self.domain_index)
 
+    def _rows(self):
+        """The map's one row echelon form: the nonzero sparse rows of an
+        echelon form of M with its column order reversed.  The rank, the
+        kernel and the invariant factors all read it, and none changes it."""
+        if self._echelon is None:
+            self._echelon = il._echelon(il._reversed(self.matrix, self.n_cols), self.n_cols)
+        return self._echelon
+
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = il.rank(self.matrix)
-        return self._rank
+        return len(self._rows())
 
     @property
     def kernel_rank(self) -> int:
@@ -115,8 +121,7 @@ class LatticeMap:
     def kernel_basis(self):
         """HNF-canonical integer basis of {x : M x = 0}, rows in D-coords."""
         if self._kernel is None:
-            # without rows the column count is not in the matrix itself
-            kernel = il.kernel(self.matrix) if self.n_rows else il.identity(self.n_cols)
+            kernel = il._null_space(self._rows(), self.n_cols)
             self._kernel = tuple(tuple(r) for r in kernel)
         return self._kernel
 
@@ -128,7 +133,8 @@ class LatticeMap:
 
     def invariant_factors(self):
         if self._invariant_factors is None:
-            self._invariant_factors = tuple(il.smith_normal_form(self.matrix))
+            hnf = il._reduce_above([dict(row) for row in self._rows()])
+            self._invariant_factors = tuple(il._smith(hnf))
         return self._invariant_factors
 
 

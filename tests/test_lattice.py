@@ -84,6 +84,53 @@ def test_invariant_factors_at_scale():
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3, 5])
+def test_map_without_rows_has_identity_kernel(n):
+    lmap = lm.LatticeMap([], [("edge", j) for j in range(n)], [])
+    assert lmap.rank == 0
+    assert lmap.kernel_basis() == tuple(map(tuple, il.identity(n)))
+    assert lmap.character_basis().rows == ()
+    assert lmap.invariant_factors() == ()
+
+
+@pytest.mark.parametrize("first", ["rank", "kernel_basis", "invariant_factors"])
+def test_map_eliminates_its_matrix_once(monkeypatch, first):
+    """rank, kernel and invariant factors read one echelon form of M: with
+    the public routines that would eliminate M again disabled, the answers
+    equal theirs, one elimination of an M-shaped input runs in all, and
+    the kept echelon form is the one it gave, unchanged."""
+    rho = lm.build_rho(random_cycle_rich_graph(random.Random(12), 20))
+    m = rho.matrix
+    assert (len(m), len(m[0])) == (86, 74)  # tall, so no transpose has M's shape
+    expected = {"rank": il.rank(m),
+                "kernel_basis": tuple(map(tuple, il.kernel(m))),
+                "character_basis": tuple(map(tuple, il.left_kernel(m))),
+                "invariant_factors": tuple(il.smith_normal_form(m))}
+
+    def refuse(*args):
+        raise AssertionError("a second elimination of M")
+
+    for name in ("rank", "kernel", "smith_normal_form", "hnf"):
+        monkeypatch.setattr(il, name, refuse)
+    shapes = []
+    echelon = il._echelon
+
+    def counted(rows, cols):
+        shapes.append((len(rows), cols))
+        return echelon(rows, cols)
+
+    monkeypatch.setattr(il, "_echelon", counted)
+    lmap = lm.LatticeMap(m, rho.domain_index, rho.codomain_index)
+    calls = {"rank": lambda: lmap.rank,
+             "kernel_basis": lmap.kernel_basis,
+             "character_basis": lambda: lmap.character_basis().rows,
+             "invariant_factors": lmap.invariant_factors}
+    order = [first] + [call for call in calls if call != first]
+    assert {call: calls[call]() for call in order} == expected
+    assert shapes.count((86, 74)) == 1
+    assert lmap._rows() == echelon(il._reversed(m, 74), 74)
+
+
 def test_build_rho_keeps_one_map_per_graph():
     g, _ = two_line_ghost(1, 2, 3, 4, 5)
     assert lm.build_rho(g) is lm.build_rho(g)

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from logmoduli import intlinalg as il
+from logmoduli.lattice import LatticeMap
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
@@ -168,3 +169,29 @@ def test_graph_like_matrices_match_sympy():
             if basis:
                 assert _sympy_factors(basis) == [1] * len(basis), (m, basis)
                 _assert_row_hnf(basis, len(basis), len(basis[0]))
+
+
+def test_lattice_map_answers_match_sympy():
+    """The map path: each graph-like matrix in a LatticeMap, whose rank,
+    kernel and invariant factors read one cached echelon form, with each of
+    the three calls first, since the shared cache makes the order
+    matter."""
+    orders = [("rank", "kernel_basis", "invariant_factors"),
+              ("invariant_factors", "kernel_basis", "rank"),
+              ("kernel_basis", "invariant_factors", "rank")]
+    for m in GRAPH_LIKE:
+        rank = sympy.Matrix(m).rank()
+        factors = _sympy_factors(m)
+        for order in orders:
+            lmap = LatticeMap(m, range(len(m[0])), range(len(m)))
+            answers = {call: lmap.rank if call == "rank" else getattr(lmap, call)()
+                       for call in order}
+            assert answers["rank"] == rank, (m, order)
+            assert list(answers["invariant_factors"]) == factors, (m, order)
+            ker = [list(k) for k in answers["kernel_basis"]]
+            assert len(ker) == len(m[0]) - rank, (m, order)
+            for k in ker:
+                assert not any(il.mat_vec(m, k))
+            if ker:
+                assert _sympy_factors(ker) == [1] * len(ker), (m, order)
+                _assert_row_hnf(ker, len(ker), len(m[0]))
