@@ -20,6 +20,10 @@ Trotter 1987), the one place that uses modular arithmetic.  The kernel
 reads a row echelon form of the matrix with its column order reversed and
 never changes it, so a caller that keeps that echelon form (a lattice map
 does) takes its rank, its kernel and its Smith form from one elimination.
+Its back-substitution walks only the pivot rows each free column reaches,
+not every pivot row.  A caller that keeps M as sparse rows (a lattice map
+again) takes its left kernel from them through `_left_null_space`, which
+transposes in one pass over the nonzeros.
 The Smith normal form has no elimination of its own: it starts from any
 echelon form of the matrix, its columns in any order, reduced above its
 pivots, and alternates the Hermite form of the matrix and of its transpose
@@ -230,12 +234,18 @@ def kernel(m):
 
 def left_kernel(m):
     """Basis of {x in Z^rows : x*M = 0}, HNF-canonical: `kernel` of M^T."""
-    n = len(m)
-    reversed_t = [{} for _ in range(_width(m))]
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x:
-                reversed_t[j][n - 1 - i] = x
+    return _left_null_space(_sparse(m), _width(m))
+
+
+def _left_null_space(rows, cols):
+    """`left_kernel` of M from its sparse rows, `cols` columns wide; the rows
+    are only read.  M^T with its column order reversed is built in one pass
+    over the nonzeros."""
+    n = len(rows)
+    reversed_t = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            reversed_t[j][n - 1 - i] = x
     return _null_space(_echelon(reversed_t, n), n)
 
 
@@ -250,7 +260,10 @@ def _null_space(h, cols):
          kernel's own HNF;
       2. back-substitute on those rows to get the rational basis C = N/d of
          the null space with an identity block on the free columns, which
-         is the kernel's reduced row echelon form;
+         is the kernel's reduced row echelon form; the pivots are walked
+         from the last up, and a free column visits only the pivot rows it
+         reaches (rows with a nonzero entry at a column already set), read
+         from an index of each column's pivot rows built once per call;
       3. saturate: the integer kernel is Lambda*C with
          Lambda = {y in Z^k : y*N = 0 mod d}, a lattice containing d*Z^k,
          built one pivot column at a time with every entry reduced mod d;
@@ -261,24 +274,39 @@ def _null_space(h, cols):
     free = [j for j in range(cols - 1, -1, -1) if j not in taken]
     if not free:
         return []
-    steps = [(p, row[p], [(j, v) for j, v in row.items() if j != p])
-             for p, row in zip(reversed(pivots), reversed(h))]
+    # the pivot rows that reach each column, with the entry they have there
+    reach = {}
+    for p, row in zip(pivots, h):
+        for j, v in row.items():
+            if j != p:
+                reach.setdefault(j, []).append((p, v))
+    steps = [(p, row[p]) for p, row in zip(reversed(pivots), reversed(h))]
     # back-substitution, one free column at a time, as an integer numerator
-    # over a denominator that grows only when a pivot fails to divide; the
-    # numerators go back to the original column order
+    # over a denominator that grows only when a pivot fails to divide; each
+    # value set in x is pushed at once into the pending sums of the pivot
+    # rows it reaches, so a pivot row without a pending sum is skipped and
+    # the walk stops when none is left; the numerators go back to the
+    # original column order
     nums, dens = [], []
     for f in free:
         x = {f: 1}
         den = 1
-        for p, pv, tail in steps:
-            s = sum(v * x[j] for j, v in tail if j in x)
+        pending = dict(reach.get(f, ()))
+        for p, pv in steps:
+            if not pending:
+                break
+            s = pending.pop(p, 0)
+            if not s:
+                continue
             if s % pv:
                 g = pv // gcd(s, pv)
                 x = {j: t * g for j, t in x.items()}
+                pending = {q: t * g for q, t in pending.items()}
                 den *= g
                 s *= g
-            if s:
-                x[p] = -s // pv
+            t = x[p] = -s // pv
+            for q, v in reach.get(p, ()):
+                pending[q] = pending.get(q, 0) + v * t
         g = gcd(*x.values())
         nums.append({cols - 1 - j: t // g for j, t in x.items()})
         dens.append(den // g)

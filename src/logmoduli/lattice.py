@@ -78,17 +78,50 @@ CharacterBasis = Characters
 
 
 class LatticeMap:
-    """Integer matrix with cached normal-form data and index labels."""
+    """Integer matrix with cached normal-form data and index labels.
+
+    M is kept as sparse rows, one dict from column to nonzero int per
+    codomain coordinate; every normal form reads them, and the dense
+    `matrix` is built only on its first read.
+    """
 
     def __init__(self, matrix, domain_index, codomain_index, graph=None):
-        self.matrix = tuple(tuple(map(int, row)) for row in matrix)
-        self.domain_index = tuple(domain_index)
-        self.codomain_index = tuple(codomain_index)
+        domain_index, codomain_index = tuple(domain_index), tuple(codomain_index)
+        dense = [tuple(map(int, row)) for row in matrix]
+        if len(dense) != len(codomain_index) or any(len(row) != len(domain_index)
+                                                     for row in dense):
+            widths = "/".join(map(str, sorted({len(row) for row in dense}))) or "0"
+            raise StructuralError(
+                f"a matrix of {len(dense)} rows of width {widths} does not fit "
+                f"{len(codomain_index)} codomain x {len(domain_index)} domain coordinates")
+        self._init([{j: x for j, x in enumerate(row) if x} for row in dense],
+                   domain_index, codomain_index, graph)
+
+    @classmethod
+    def _of_rows(cls, rows, domain_index, codomain_index, graph):
+        """The map of sparse rows that already fit the two indices, kept as
+        they are."""
+        lmap = cls.__new__(cls)
+        lmap._init(rows, tuple(domain_index), tuple(codomain_index), graph)
+        return lmap
+
+    def _init(self, rows, domain_index, codomain_index, graph):
+        self._sparse_rows = rows
+        self.domain_index = domain_index
+        self.codomain_index = codomain_index
         self.graph = graph
+        self._matrix = None
         self._echelon = None
         self._kernel = None
         self._characters = None
         self._invariant_factors = None
+
+    @property
+    def matrix(self) -> tuple:
+        """M as a tuple of dense int rows, built on its first read."""
+        if self._matrix is None:
+            self._matrix = tuple(tuple(il._dense(row, self.n_cols)) for row in self._sparse_rows)
+        return self._matrix
 
     @property
     def n_rows(self) -> int:
@@ -103,7 +136,9 @@ class LatticeMap:
         echelon form of M with its column order reversed.  The rank, the
         kernel and the invariant factors all read it, and none changes it."""
         if self._echelon is None:
-            self._echelon = il._echelon(il._reversed(self.matrix, self.n_cols), self.n_cols)
+            last = self.n_cols - 1
+            reversed_rows = [{last - j: x for j, x in row.items()} for row in self._sparse_rows]
+            self._echelon = il._echelon(reversed_rows, self.n_cols)
         return self._echelon
 
     @property
@@ -128,7 +163,8 @@ class LatticeMap:
     def character_basis(self) -> Characters:
         """Saturated basis of {chi : chi o rho = 0} as rows on T-coords."""
         if self._characters is None:
-            self._characters = Characters(il.left_kernel(self.matrix), self.codomain_index)
+            self._characters = Characters(il._left_null_space(self._sparse_rows, self.n_cols),
+                                          self.codomain_index)
         return self._characters
 
     def invariant_factors(self):
@@ -202,33 +238,34 @@ def build_rho(graph: DecoratedDualGraph) -> LatticeMap:
     col = {key: k for k, key in enumerate(d_index)}
 
     def row_of(terms):
-        """The dense row of the (column key, value) terms; a vertex lacking
+        """The sparse row of the (column key, value) terms; a vertex lacking
         the coordinate has no slope column, and its term reads 0."""
-        row = [0] * len(d_index)
+        row = {}
         for key, value in terms:
-            if key in col:
-                row[col[key]] += value
-        return row
+            j = col.get(key)
+            if j is not None:
+                row[j] = row.get(j, 0) + value
+        return {j: x for j, x in row.items() if x}
 
     def signed_order(e, j, i, sign):
         s = sign if e.branch_into(j) else -sign
         return [(("branch", e.id, j), s * e.contacts[j][i - 1]), (("vertex", e.ends[j], i), s)]
 
-    t_index, matrix = [], []
+    t_index, rows = [], []
     for e in graph.edges:
         if e.is_multinode:
             last = len(e.ends) - 1
             for j in range(last):
                 for i in sorted(e.stratum):
                     t_index.append(("diff", e.id, j, i))
-                    matrix.append(row_of(signed_order(e, j, i, 1) + signed_order(e, last, i, -1)))
+                    rows.append(row_of(signed_order(e, j, i, 1) + signed_order(e, last, i, -1)))
         else:
             for i in sorted(e.stratum):
                 t_index.append((e.id, i))
-                matrix.append(row_of([(("edge", e.id), e.contact[i - 1]),
-                                      (("vertex", e.ends[0], i), 1),
-                                      (("vertex", e.ends[1], i), -1)]))
-    graph._lattice_map = LatticeMap(matrix, d_index, t_index, graph)
+                rows.append(row_of([(("edge", e.id), e.contact[i - 1]),
+                                    (("vertex", e.ends[0], i), 1),
+                                    (("vertex", e.ends[1], i), -1)]))
+    graph._lattice_map = LatticeMap._of_rows(rows, d_index, t_index, graph)
     return graph._lattice_map
 
 

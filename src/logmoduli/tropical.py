@@ -63,9 +63,9 @@ def _system(graph: DecoratedDualGraph):
     """
     lmap = build_rho(graph)
     rows, labels = [], []
-    for row, label in zip(lmap.matrix, lmap.codomain_index):
-        if any(row):
-            rows.append([-x for x in row])
+    for row, label in zip(lmap._sparse_rows, lmap.codomain_index):
+        if row:
+            rows.append(il._dense({j: -x for j, x in row.items()}, lmap.n_cols))
             labels.append(label)
     return lmap.domain_index, rows, labels
 

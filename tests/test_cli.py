@@ -606,14 +606,16 @@ def test_report_parses_each_input_once(monkeypatch):
 
 
 def test_report_builds_one_lattice_map(monkeypatch):
+    """Counted in `_init`, which both the public constructor and the one
+    `build_rho` uses run."""
     built = []
-    init = lattice.LatticeMap.__init__
+    init = lattice.LatticeMap._init
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(lattice.LatticeMap, "__init__", counting_init)
+    monkeypatch.setattr(lattice.LatticeMap, "_init", counting_init)
     out = io.StringIO()
     with redirect_stdout(out):
         cli.main(["report", fixture("good_ex1.json")])

@@ -1,6 +1,8 @@
 import dataclasses
+import glob
 import os
 import random
+import re
 import sys
 import time
 
@@ -8,7 +10,8 @@ import pytest
 
 import logmoduli as lm
 from logmoduli import intlinalg as il
-from logmoduli.errors import InputError
+from logmoduli import schema
+from logmoduli.errors import InputError, LogModuliError, StructuralError
 from logmoduli.graphs import first_betti_number
 
 from conftest import (
@@ -129,6 +132,102 @@ def test_map_eliminates_its_matrix_once(monkeypatch, first):
     assert {call: calls[call]() for call in order} == expected
     assert shapes.count((86, 74)) == 1
     assert lmap._rows() == echelon(il._reversed(m, 74), 74)
+
+
+@pytest.mark.parametrize("matrix, n_cols, n_rows, shape", [
+    ([[1, 2], [0, 1]], 2, 3, "2 rows of width 2"),  # a codomain coordinate without a row
+    ([[1, 2], [0, 1]], 3, 2, "2 rows of width 2"),  # a domain coordinate without a column
+    ([[1, 2], [0, 1, 5]], 2, 2, "2 rows of width 2/3"),  # ragged
+    ([[1, 2, 3], [0, 1, 5]], 2, 2, "2 rows of width 3"),  # over-wide
+    ([], 2, 1, "0 rows of width 0"),
+])
+def test_lattice_map_refuses_a_matrix_that_does_not_fit_its_indices(matrix, n_cols, n_rows,
+                                                                   shape):
+    with pytest.raises(StructuralError, match=re.escape(
+            f"{shape} does not fit {n_rows} codomain x {n_cols} domain coordinates")):
+        lm.LatticeMap(matrix, [("edge", j) for j in range(n_cols)], list(range(n_rows)))
+
+
+def test_lattice_map_takes_rows_of_width_zero():
+    lmap = lm.LatticeMap([[], []], [], ["x", "y"])
+    assert lmap.rank == 0
+    assert lmap.kernel_basis() == ()
+    assert lmap.character_basis().rows == ((1, 0), (0, 1))
+    assert lmap.invariant_factors() == ()
+
+
+def _with_loops(graph):
+    """The graph with two loops at its vertex of largest stratum: one of
+    contact 0, whose rows are zero, and one of contact 1 there."""
+    v = max(graph.vertices, key=lambda v: len(v.stratum))
+    ones = tuple(int(i + 1 in v.stratum) for i in range(graph.N))
+    loops = [lm.Edge("loop0", (v.id, v.id), v.stratum, contact=(0,) * graph.N),
+             lm.Edge("loop1", (v.id, v.id), v.stratum, contact=ones)]
+    return graph.with_edges([*graph.edges, *loops])
+
+
+def _graphs_both_ways():
+    """Seeded cycle-rich graphs, the same with two loops each (which carry
+    rows where some stratum is nonempty), and every fixture whose graph has a lattice map (one of them has a multi-node)."""
+    graphs = [random_cycle_rich_graph(random.Random(seed), nv)
+              for seed in range(6) for nv in (3, 6, 12)]
+    graphs += [_with_loops(g) for g in graphs]
+    fixtures = os.path.join(os.path.dirname(lm.__file__), "fixtures")
+    for path in sorted(glob.glob(os.path.join(fixtures, "*.json"))):
+        with open(path) as fh:
+            try:
+                graph = schema.loads(fh.read())[0]
+                lm.build_rho(graph)
+            except LogModuliError:
+                continue
+        graphs.append(graph)
+    return graphs
+
+
+def _answers(lmap):
+    return (lmap.rank, lmap.kernel_basis(), lmap.character_basis().rows,
+            lmap.invariant_factors())
+
+
+def test_both_ways_into_a_lattice_map_give_the_same_map():
+    """build_rho's sparse rows and the public constructor on the dense
+    matrix give the same answers; the dense matrix is the sparse rows
+    written out, and neither map's own rows change under the four calls."""
+    graphs = _graphs_both_ways()
+    assert len(graphs) == 36 + 12
+    assert any(e.is_multinode for g in graphs for e in g.edges)
+    zero_rows = 0
+    for graph in graphs:
+        rho = lm.build_rho(graph)
+        rows = [dict(row) for row in rho._sparse_rows]
+        zero_rows += rows.count({})
+        dense = tuple(tuple(row.get(j, 0) for j in range(rho.n_cols)) for row in rows)
+        assert rho.matrix == dense
+        again = lm.LatticeMap(rho.matrix, rho.domain_index, rho.codomain_index)
+        assert again._sparse_rows == rows
+        assert _answers(rho) == _answers(again)
+        assert rho._sparse_rows == rows and again._sparse_rows == rows
+        assert again.matrix == dense
+    assert zero_rows >= 30
+
+
+def test_map_answers_read_its_sparse_rows_only(monkeypatch):
+    """A map from build_rho answers all four calls from its sparse rows: with
+    the dense reversal and the public left kernel disabled, the answers equal
+    the public routines' on the dense matrix, and the dense matrix is never
+    built."""
+    m = lm.build_rho(random_cycle_rich_graph(random.Random(12), 20)).matrix
+    expected = (il.rank(m), tuple(map(tuple, il.kernel(m))),
+                tuple(map(tuple, il.left_kernel(m))), tuple(il.smith_normal_form(m)))
+
+    def refuse(*args):
+        raise AssertionError("the map read its dense matrix")
+
+    monkeypatch.setattr(il, "_reversed", refuse)
+    monkeypatch.setattr(il, "left_kernel", refuse)
+    lmap = lm.build_rho(random_cycle_rich_graph(random.Random(12), 20))
+    assert _answers(lmap) == expected
+    assert lmap._matrix is None
 
 
 def test_build_rho_keeps_one_map_per_graph():
