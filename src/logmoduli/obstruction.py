@@ -8,6 +8,11 @@ configuration factor; the paper's two displays use opposite inverses of the
 configuration factor, so both are exposed (`ftofo_factor`, `lemma_factor`)
 with ob = ob_bar * ftofo_factor = ob_bar * lemma_factor**-1 holding
 identically.
+
+A component's and a ghost's sections come from one builder over their special
+points, one helper checks a leading coefficient's order against its contact
+entry, and the collapse reverses the edges into the ghost in one rebuild
+(`flip_edge` is its one-edge case).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Dict, Optional
 
 from . import intlinalg as il
 from .errors import InputError, MissingEtaError, StructuralError
-from .graphs import GHOST, DecoratedDualGraph, Edge, Leg, Vertex, _components, require_valid
+from .graphs import GHOST, DecoratedDualGraph, Edge, Vertex, _components, require_valid
 from .lattice import Characters, build_rho, multinode_character_pullback, node_index
 from .qi import GaussianRational
 from .sections import P1Point, RationalSection, build_section, leading_coefficient
@@ -53,28 +58,29 @@ def flip_edge(graph: DecoratedDualGraph, data: Optional[CurveData], edge_id: str
     analytic data keyed by end index.  Character values of the obstruction
     class are unchanged when raw tuple and characters are transported
     together; ranks never change."""
-    e = graph.edge(edge_id)
-    if e.is_multinode:
+    return _flipped(graph, data, (edge_id,))
+
+
+def _flipped(graph: DecoratedDualGraph, data: Optional[CurveData], edge_ids):
+    """`flip_edge` on each of the regular edges edge_ids, in one rebuild."""
+    flips = set(edge_ids)
+    if any(graph.edge(eid).is_multinode for eid in flips):
         raise InputError("cannot flip a multi-node")
-    flipped = Edge(
-        e.id,
-        (e.ends[1], e.ends[0]),
-        e.stratum,
-        contact=None if e.contact is None else tuple(-x for x in e.contact),
-        image_labels=None if e.image_labels is None else (e.image_labels[1], e.image_labels[0]),
-    )
-    new_edges = [flipped if x.id == edge_id else x for x in graph.edges]
-    g2 = graph.with_edges(new_edges)
+    g2 = graph.with_edges([
+        Edge(e.id, (e.ends[1], e.ends[0]), e.stratum,
+             contact=None if e.contact is None else tuple(-x for x in e.contact),
+             image_labels=None if e.image_labels is None else (e.image_labels[1], e.image_labels[0]))
+        if e.id in flips else e
+        for e in graph.edges
+    ])
     if data is None:
         return g2, None
-    positions = {}
-    for (eid, idx), pos in data.positions.items():
-        positions[(eid, 1 - idx) if eid == edge_id else (eid, idx)] = pos
-    eta = {}
-    for (eid, idx, i), val in data.eta.items():
-        eta[(eid, 1 - idx, i) if eid == edge_id else (eid, idx, i)] = val
-    d2 = CurveData(positions, dict(data.leg_positions), {k: dict(v) for k, v in data.sections.items()}, eta)
-    return g2, d2
+    positions = {(eid, 1 - idx if eid in flips else idx): pos
+                 for (eid, idx), pos in data.positions.items()}
+    eta = {(eid, 1 - idx if eid in flips else idx, i): val
+           for (eid, idx, i), val in data.eta.items()}
+    return g2, CurveData(positions, dict(data.leg_positions),
+                         {k: dict(v) for k, v in data.sections.items()}, eta)
 
 
 def _eta_at_end(graph, data, edge, idx, i) -> GaussianRational:
@@ -91,13 +97,10 @@ def _eta_at_end(graph, data, edge, idx, i) -> GaussianRational:
         pos = data.positions.get((edge.id, idx))
         if pos is None:
             raise StructuralError(f"missing position for edge {edge.id!r} end {idx}")
-        order, eta = leading_coefficient(sec, pos)
-        if contact is not None and order != contact[i - 1]:
-            raise InputError(
-                f"section order {order} at edge {edge.id!r} end {idx} does not match "
-                f"contact entry {contact[i - 1]} (coordinate {i})"
-            )
-        return eta
+        return _leading_eta(
+            sec, pos, None if contact is None else contact[i - 1],
+            lambda order: f"section order {order} at edge {edge.id!r} end {idx} does not match "
+                          f"contact entry {contact[i - 1]} (coordinate {i})")
     val = data.eta.get((edge.id, idx, i))
     if val is None:
         raise MissingEtaError(edge.id, idx, i)
@@ -118,7 +121,7 @@ def _synthesize_sections(graph, data, v) -> Dict[int, RationalSection]:
     cached = data.sections.get(v.id)
     if cached:
         return cached
-    divisors = {i: [] for i in sorted(v.stratum)}
+    points = []
     for e, idx in graph.edges_at(v.id):
         pos = data.positions.get((e.id, idx))
         contact = e.end_contact(idx)
@@ -126,21 +129,33 @@ def _synthesize_sections(graph, data, v) -> Dict[int, RationalSection]:
             raise StructuralError(
                 f"cannot synthesize sections for {v.id!r}: missing data on edge {e.id!r}"
             )
-        for i in sorted(v.stratum):
-            divisors[i].append((pos, contact[i - 1]))
+        points.append((pos, contact))
     for l in graph.legs_at(v.id):
         pos = data.leg_positions.get(l.id)
         if pos is None:
             raise StructuralError(
                 f"cannot synthesize sections for {v.id!r}: missing position for leg {l.id!r}"
             )
-        for i in sorted(v.stratum):
-            divisors[i].append((pos, l.contact[i - 1]))
-    out = {}
-    for i in sorted(v.stratum):
-        out[i] = build_section(v.degrees[i - 1], divisors[i])
-    data.sections[v.id] = out
+        points.append((pos, l.contact))
+    out = data.sections[v.id] = _sections_through(points, v.stratum, v.degrees)
     return out
+
+
+def _sections_through(points, stratum, degrees) -> Dict[int, RationalSection]:
+    """For each coordinate i of the stratum, the section of O(degrees[i - 1])
+    whose divisor is contact[i - 1] at each (position, contact) point."""
+    return {i: build_section(degrees[i - 1], [(pos, contact[i - 1]) for pos, contact in points])
+            for i in sorted(stratum)}
+
+
+def _leading_eta(section, pos, order, mismatch) -> GaussianRational:
+    """The leading coefficient of the section at pos, whose order there must
+    be `order` unless that is None; mismatch(actual order) words the
+    InputError otherwise."""
+    actual, eta = leading_coefficient(section, pos)
+    if order is not None and actual != order:
+        raise InputError(mismatch(actual))
+    return eta
 
 
 def canonical_characters(graph: DecoratedDualGraph) -> Characters:
@@ -232,11 +247,7 @@ def ghost_sections(config: GhostConfig) -> Dict[int, RationalSection]:
         if pos in seen:
             raise InputError(f"ghost special points must be distinct; {pos} repeats")
         seen.add(pos)
-    out = {}
-    for i in sorted(config.stratum):
-        divisor = [(pos, contact[i - 1]) for pos, contact in points]
-        out[i] = build_section(0, divisor)
-    return out
+    return _sections_through(points, config.stratum, (0,) * config.N)
 
 
 def compute_o_v0(config: GhostConfig, node_id: str = "m") -> OV0Result:
@@ -252,11 +263,8 @@ def compute_o_v0(config: GhostConfig, node_id: str = "m") -> OV0Result:
     lemma = {}
     for j, (pos, contact, into) in enumerate(config.branches):
         for i in sorted(config.stratum):
-            order, eta = leading_coefficient(secs[i], pos)
-            if order != contact[i - 1]:
-                raise InputError(
-                    f"ghost section order {order} != prescribed {contact[i - 1]} at branch {j}"
-                )
+            eta = _leading_eta(secs[i], pos, contact[i - 1], lambda order: (
+                f"ghost section order {order} != prescribed {contact[i - 1]} at branch {j}"))
             val = eta.inverse() if into else eta
             ftofo[(node_id, j, i)] = val
             lemma[(node_id, j, i)] = val.inverse()
@@ -265,17 +273,6 @@ def compute_o_v0(config: GhostConfig, node_id: str = "m") -> OV0Result:
 
 def _is_ghostlike(v: Vertex) -> bool:
     return v.genus == 0 and not any(v.degrees) and v.c1_log == 0 and v.kind != "principal"
-
-
-def orient_out_of(graph: DecoratedDualGraph, data: Optional[CurveData], vid: str):
-    """Flip edges at a vertex so the vertex is ends[0] of each; no loops."""
-    g, d = graph, data
-    for e, idx in graph.edges_at(vid):
-        if e.ends[0] == e.ends[1]:
-            raise InputError(f"vertex {vid!r} carries a loop")
-        if idx == 1:
-            g, d = flip_edge(g, d, e.id)
-    return g, d
 
 
 def collapse_ghost(graph: DecoratedDualGraph, data: CurveData, ghost_id: str, node_id: str = "m"):
@@ -291,14 +288,15 @@ def collapse_ghost(graph: DecoratedDualGraph, data: CurveData, ghost_id: str, no
     for e, idx in graph.edges_at(ghost_id):
         if e.is_multinode:
             raise InputError("cannot collapse a ghost attached to a multi-node")
-        other = e.ends[1 - idx]
-        if other == ghost_id:
+        if e.ends[1 - idx] == ghost_id:
             raise InputError("cannot collapse a ghost with a loop")
         if e.stratum != v0.stratum:
             raise InputError(
                 f"edge {e.id!r} stratum differs from the ghost stratum; collapse undefined"
             )
-    graph, data = orient_out_of(graph, data, ghost_id)
+    into = [e.id for e, idx in graph.edges_at(ghost_id) if idx == 1]
+    if into:
+        graph, data = _flipped(graph, data, into)
 
     branch_edges = sorted((e for e, _ in graph.edges_at(ghost_id)), key=lambda e: e.id)
     if len(branch_edges) < 2:
@@ -310,15 +308,12 @@ def collapse_ghost(graph: DecoratedDualGraph, data: CurveData, ghost_id: str, no
     positions = {}
     eta = {}
     for j, e in enumerate(branch_edges):
-        surv = e.ends[1]
-        ghost_contact = e.end_contact(0)
-        surv_contact = e.end_contact(1)
         pos = data.positions.get((e.id, 0))
         if pos is None:
             raise StructuralError(f"missing ghost-side position on edge {e.id!r}")
-        branches.append((pos, ghost_contact, False))
-        new_ends.append(surv)
-        contacts.append(surv_contact)
+        branches.append((pos, e.end_contact(0), False))
+        new_ends.append(e.ends[1])
+        contacts.append(e.end_contact(1))
         spos = data.positions.get((e.id, 1))
         if spos is not None:
             positions[(node_id, j)] = spos
@@ -326,25 +321,13 @@ def collapse_ghost(graph: DecoratedDualGraph, data: CurveData, ghost_id: str, no
             if (e.id, 1, i) in data.eta:
                 eta[(node_id, j, i)] = data.eta[(e.id, 1, i)]
 
-    config = GhostConfig(
-        graph.N,
-        v0.stratum,
-        tuple(branches),
-        tuple(
-            (data.leg_positions[l.id], l.contact)
-            for l in graph.legs_at(ghost_id)
-            if l.id in data.leg_positions
-        ),
-    )
+    legs = tuple((data.leg_positions[l.id], l.contact)
+                 for l in graph.legs_at(ghost_id) if l.id in data.leg_positions)
+    config = GhostConfig(graph.N, v0.stratum, tuple(branches), legs)
 
     removed = {e.id for e in branch_edges}
-    multinode = Edge(
-        node_id,
-        tuple(new_ends),
-        stratum=v0.stratum,
-        contacts=tuple(contacts),
-        into=tuple(False for _ in new_ends),
-    )
+    multinode = Edge(node_id, tuple(new_ends), stratum=v0.stratum, contacts=tuple(contacts),
+                     into=(False,) * len(new_ends))
     new_edges = [e for e in graph.edges if e.id not in removed] + [multinode]
     new_vertices = [v for v in graph.vertices if v.id != ghost_id]
     new_legs = [l for l in graph.legs if l.vertex != ghost_id]
@@ -454,17 +437,9 @@ def collapse_homomorphism(graph: DecoratedDualGraph, tree_ids) -> CollapseHomomo
     v0 = Vertex(new_id, genus=0, stratum=common, degrees=(0,) * graph.N, kind=GHOST)
     internal_ids = {x.id for x in internal}
     new_vertices = [v for v in graph.vertices if v.id not in tree] + [v0]
-    new_edges = []
-    for e in graph.edges:
-        if e.id in internal_ids:
-            continue
-        ends = tuple(new_id if vid in tree else vid for vid in e.ends)
-        new_edges.append(Edge(e.id, ends, e.stratum, contact=e.contact,
-                              contacts=e.contacts, into=e.into))
-    new_legs = [
-        Leg(l.id, new_id if l.vertex in tree else l.vertex, l.contact, l.position)
-        for l in graph.legs
-    ]
+    new_edges = [replace(e, ends=tuple(new_id if vid in tree else vid for vid in e.ends))
+                 for e in graph.edges if e.id not in internal_ids]
+    new_legs = [replace(l, vertex=new_id) if l.vertex in tree else l for l in graph.legs]
     collapsed = DecoratedDualGraph(graph.N, graph.n, new_vertices, new_edges, new_legs)
 
     require_valid(graph)

@@ -70,7 +70,7 @@ class RationalSection:
         finite = {}
         inf_order = None
         for pt, mult in factors:
-            pt = pt if isinstance(pt, P1Point) else P1Point.finite(pt)
+            pt = P1Point.finite(pt)
             mult = int(mult)
             if mult == 0:
                 continue
@@ -128,7 +128,7 @@ def build_section(degree: int, divisor: Sequence[Tuple], scale=QI_ONE) -> Ration
     explicit_inf = 0
     total_finite = 0
     for raw_pt, order in divisor:
-        pt = raw_pt if isinstance(raw_pt, P1Point) else P1Point.finite(raw_pt)
+        pt = P1Point.finite(raw_pt)
         if pt in seen:
             raise InputError(f"divisor points must be pairwise distinct; {pt} repeats")
         seen.add(pt)
@@ -149,8 +149,7 @@ def leading_coefficient(section: RationalSection, point: P1Point):
     """(order, eta): order of the divisor at the point and the leading term
     of the chart-local representative in the coordinate w = z - p (w = 1/z at
     infinity, with the transition z^degree applied)."""
-    if not isinstance(point, P1Point):
-        point = P1Point.finite(point)
+    point = P1Point.finite(point)
     if point.is_infinity:
         # representative w^d * zeta(1/w) = scale * prod (1 - q w)^m * w^(d - sum m)
         return section.inf_order, section.scale

@@ -1,7 +1,10 @@
-"""The package's import surface, each check in a fresh interpreter: the CLI
-loads only the modules its command calls, and `import logmoduli` still
-offers every public name and submodule."""
+"""The package's import surface, each load check in a fresh interpreter:
+the CLI loads only the modules its command calls, `import logmoduli` still
+offers every public name and submodule, and no module imports a name it
+never uses."""
 
+import ast
+import glob
 import json
 import os
 import re
@@ -156,3 +159,25 @@ def test_submodule_attribute_resolves_in_a_lone_test_run():
     proc = _run("-m", "pytest", "-q", "-p", "no:cacheprovider", os.path.join(TESTS, test),
                 cwd=os.path.dirname(TESTS))
     assert "1 passed" in proc.stdout
+
+
+def _unused_imports(path):
+    """The names a module imports (its `from __future__` line aside) that no
+    expression of it reads, with the line of each import."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = sorted(glob.glob(os.path.join(PACKAGE_ROOT, "logmoduli", "*.py")))
+    assert len(modules) == len(SUBMODULES) + 3  # the package, its cli and its schema
+    unused = {os.path.basename(path): _unused_imports(path) for path in modules}
+    assert {name: lines for name, lines in unused.items() if lines} == {}

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -154,6 +155,23 @@ def test_lattice_map_takes_rows_of_width_zero():
     assert lmap.kernel_basis() == ()
     assert lmap.character_basis().rows == ((1, 0), (0, 1))
     assert lmap.invariant_factors() == ()
+
+
+@pytest.mark.parametrize("rows, named", [
+    ([[1.5, 2], [True, 0.9]], "1.5 at row 0, column 0"),  # not truncated to 1
+    ([[1, 2], [True, 0]], "True at row 1, column 0"),
+    ([[1, "3"], [0, 1]], "'3' at row 0, column 1"),
+    ([[1, 2], [0, Fraction(2)]], "Fraction(2, 1) at row 1, column 1"),
+])
+def test_lattice_map_and_characters_refuse_an_entry_that_is_not_an_int(rows, named):
+    with pytest.raises(StructuralError, match=re.escape(f"matrix entry {named} is not an integer")):
+        lm.LatticeMap(rows, ["a", "b"], ["x", "y"])
+    with pytest.raises(StructuralError,
+                       match=re.escape(f"character entry {named} is not an integer")):
+        lm.Characters(rows, ["a", "b"])
+    ints = [[int(x) for x in row] for row in rows]
+    assert lm.LatticeMap(ints, ["a", "b"], ["x", "y"]).matrix == tuple(map(tuple, ints))
+    assert lm.Characters(ints, ["a", "b"]).rows == tuple(map(tuple, ints))
 
 
 def _with_loops(graph):

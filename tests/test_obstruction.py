@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,8 +8,10 @@ import pytest
 
 import logmoduli as lm
 from logmoduli import intlinalg as il
+from logmoduli import obstruction
 from logmoduli.errors import InputError, MissingEtaError
 from logmoduli.qi import GaussianRational as Q
+from logmoduli.sections import P1Point, build_section
 from conftest import (
     bad_ex1,
     bad_ex1_branch_character,
@@ -242,6 +247,25 @@ def test_degenerate_coincident_points_reported():
         lm.relation_check(g, data, "v0")
 
 
+def test_a_section_order_off_its_contact_entry_is_refused(monkeypatch):
+    g, data = two_line_ghost(_q(3), _q(5), _q(7), _q(2), _q(11))
+    one, zero = P1Point.finite(1), P1Point.finite(0)
+    data.sections["v0"] = {1: build_section(0, [(one, -2), (zero, 2)]),
+                           2: build_section(0, [(one, -1), (zero, 1)])}
+    with pytest.raises(InputError) as caught:
+        lm.compute_ob(g, data)
+    assert str(caught.value) == (
+        "section order -2 at edge 'e1' end 0 does not match contact entry -1 (coordinate 1)")
+    # the ghost's own sections meet their orders by construction: only a
+    # leading coefficient read at the wrong order reaches the second check
+    config = lm.collapse_ghost(g, lm.CurveData(data.positions, data.leg_positions, {},
+                                                data.eta), "v0")[2]
+    monkeypatch.setattr(obstruction, "leading_coefficient", lambda section, point: (5, Q(1)))
+    with pytest.raises(InputError) as caught:
+        lm.compute_o_v0(config)
+    assert str(caught.value) == "ghost section order 5 != prescribed -1 at branch 0"
+
+
 # -- collapse relation --------------------------------------------------------
 
 
@@ -406,6 +430,18 @@ def test_collapse_homomorphism_rejects_multinode_graph():
         lm.collapse_homomorphism(g2, ["g"])
 
 
+def test_collapse_homomorphism_keeps_image_labels():
+    g = two_ghost_clusters()
+    edges = [dataclasses.replace(e, image_labels=("x", "y")) if e.id == "a" else e
+             for e in g.edges]
+    legs = [dataclasses.replace(l, image_label="q") if l.id == "z1" else l for l in g.legs]
+    g = lm.DecoratedDualGraph(g.N, g.n, g.vertices, edges, legs)
+    collapsed = lm.collapse_homomorphism(g, ["g1", "g2"]).collapsed
+    a, z1 = collapsed.edge("a"), next(l for l in collapsed.legs if l.id == "z1")
+    assert (a.ends, a.image_labels) == (("p", "v0"), ("x", "y"))
+    assert (z1.id, z1.vertex, z1.image_label) == ("z1", "v0", "q")
+
+
 def test_collapse_homomorphism_rejects_a_disconnected_ghost_set():
     with pytest.raises(InputError, match="ghost tree is not connected"):
         lm.collapse_homomorphism(two_ghost_clusters(), ["g1", "g3"])
@@ -434,3 +470,106 @@ def test_a_character_off_a_multinode_diagonal_is_refused_naming_the_first_node()
                         ([row(m1_0_2=1, m1_1_2=1)], "m1")]:
         with pytest.raises(InputError, match=f"multi-node '{named}'"):
             _require_diagonal_killing(g, lm.Characters(rows, index))
+
+
+# -- collapse digest ------------------------------------------------------------
+
+
+# every output of collapse_ghost, compute_o_v0 and relation_check on the
+# seeded ghost stars below, recorded at ff98510, before the collapse
+# reversed its edges in one pass and the two section builders became one
+GHOST_STAR_DIGEST = "8f0b6935cf2f24ab"
+GHOST_STAR_SEEDS = range(400)
+
+
+def _edge_plain(e):
+    return [e.id, list(e.ends), sorted(e.stratum), e.contact, e.contacts, e.into,
+            e.image_labels]
+
+
+def _graph_plain(g):
+    return [g.N, g.n, [[v.id, v.genus, sorted(v.stratum), v.degrees, v.kind] for v in g.vertices],
+            [_edge_plain(e) for e in g.edges],
+            [[l.id, l.vertex, l.contact, l.image_label] for l in g.legs]]
+
+
+def _data_plain(d):
+    # each dict in its order
+    return [[[list(k), str(p)] for k, p in d.positions.items()],
+            [[k, str(p)] for k, p in d.leg_positions.items()],
+            [[list(k), str(v)] for k, v in d.eta.items()],
+            sorted(d.sections)]
+
+
+def _ghost_star_outcome(g, data):
+    collapsed, cdata, config, norm_graph, norm_data = lm.collapse_ghost(g, data, "g0")
+    o = lm.compute_o_v0(config)
+    report = lm.relation_check(g, data, "g0")
+    return [
+        _graph_plain(collapsed), _data_plain(cdata),
+        [config.N, sorted(config.stratum), [[str(p), c, into] for p, c, into in config.branches],
+         [[str(p), c] for p, c in config.legs]],
+        _graph_plain(norm_graph), _data_plain(norm_data),
+        [[list(k), str(v)] for k, v in o.ftofo_raw.items()],
+        [[list(k), str(v)] for k, v in o.lemma_raw.items()],
+        [report.holds] + [[str(v) for v in values] for values in (
+            report.ob_values, report.ob_bar_values, report.ftofo_values, report.lemma_values)],
+    ]
+
+
+def test_ghost_star_collapse_matches_the_recorded_digest():
+    """The five outputs of collapse_ghost (graphs with every edge's ends,
+    contact, contacts, into and labels; positions and eta in their order),
+    the configuration factor in both conventions and relation_check's values,
+    on 400 seeded ghost stars."""
+    digest = hashlib.sha256()
+    for seed in GHOST_STAR_SEEDS:
+        g, data = random_ghost_star(random.Random(seed))
+        digest.update(json.dumps(_ghost_star_outcome(g, data)).encode())
+    assert digest.hexdigest()[:16] == GHOST_STAR_DIGEST
+
+
+def _oriented_out_of_one_edge_at_a_time(graph, data, vid):
+    # the collapse's orientation as it was: one flip_edge per edge into vid
+    for e, idx in graph.edges_at(vid):
+        if idx == 1:
+            graph, data = lm.flip_edge(graph, data, e.id)
+    return graph, data
+
+
+def test_collapse_orients_as_one_flip_per_edge_into_the_ghost(rng):
+    outward = 0
+    for _ in range(60):
+        g, data = random_ghost_star(rng)
+        _, _, _, norm_graph, norm_data = lm.collapse_ghost(g, data, "g0")
+        ref_graph, ref_data = _oriented_out_of_one_edge_at_a_time(g, data, "g0")
+        assert norm_graph.edges == ref_graph.edges
+        assert (norm_graph.vertices, norm_graph.legs) == (ref_graph.vertices, ref_graph.legs)
+        assert norm_data == ref_data
+        assert list(norm_data.positions) == list(ref_data.positions)
+        assert list(norm_data.eta) == list(ref_data.eta)
+        if all(idx == 0 for _, idx in g.edges_at("g0")):
+            outward += 1
+            assert norm_graph is g and norm_data is data
+    # an all-outward ghost, built as one: nothing to reverse, the same objects back
+    g, data = good_ex1(_q(2), _q(3), _q(5), _q(7))
+    _, _, _, norm_graph, norm_data = lm.collapse_ghost(g, data, "v0")
+    assert norm_graph is g and norm_data is data
+    assert outward >= 5
+
+
+def test_flip_edge_reverses_the_edge_and_its_end_data():
+    g, data = two_line_ghost(_q(3), _q(5), _q(7), _q(2), _q(11))
+    e2 = dataclasses.replace(g.edge("e2"), image_labels=("x", None))
+    g = g.with_edges([e2 if e.id == "e2" else e for e in g.edges])
+    g2, data2 = lm.flip_edge(g, data, "e2")
+    assert g2.edge("e2") == lm.Edge("e2", ("v2", "v0"), {1, 2}, contact=(1, 1),
+                                    image_labels=(None, "x"))
+    assert [e for e in g2.edges if e.id != "e2"] == [e for e in g.edges if e.id != "e2"]
+    assert data2.positions[("e2", 1)] == data.positions[("e2", 0)]
+    assert ("e2", 0) not in data2.positions
+    assert data2.eta[("e2", 0, 2)] == data.eta[("e2", 1, 2)]
+    g3, none = lm.flip_edge(g, None, "e2")
+    assert (g3.edges, none) == (g2.edges, None)
+    g4, data4 = lm.flip_edge(g2, data2, "e2")
+    assert (g4.edges, data4) == (g.edges, data)
