@@ -4,6 +4,8 @@ Commands: validate | decorate | tropical | group | ob | dims | positivity |
 rt | report.  Output is canonical JSON by default or an aligned text table
 with --format table.  Exit codes: 0 computed, 1 invariant violation found
 (in the input, or an internal inconsistency of the program), 2 input error.
+Each run_<command> returns a body and an exit code; main (and report, for
+its parts) adds the command and input every payload carries.
 """
 
 from __future__ import annotations
@@ -28,21 +30,23 @@ def _load(path):
         return schema.loads(fh.read())
 
 
+def _envelope(command, path, body):
+    """The printed payload: a runner's body with its command and input."""
+    return {"command": command, "input": path, **body}
+
+
 def run_validate(path, doc, args):
     from .graphs import validate_graph
 
     graph, _, _, _, _ = doc
     report = validate_graph(graph, multinode_allowed=args.multinode)
-    payload = {
-        "command": "validate",
-        "input": path,
+    return {
         "valid": report.valid,
         "violations": [
             {"code": v.code, "element": v.element, "message": v.message}
             for v in report.violations
         ],
-    }
-    return payload, EXIT_OK if report.valid else EXIT_VIOLATION
+    }, EXIT_OK if report.valid else EXIT_VIOLATION
 
 
 def run_decorate(path, doc, args):
@@ -50,17 +54,14 @@ def run_decorate(path, doc, args):
 
     graph, _, _, _, _ = doc
     sol = solve_decorations(graph, bound=args.bound)
-    payload = {
-        "command": "decorate",
-        "input": path,
+    return {
         "status": sol.status,
         "reason": sol.reason,
         "assignments": [
             {eid: list(vec) for eid, vec in sorted(a.items())} for a in sol.assignments
         ],
         "cycle_ranks": {str(c.coordinate): len(c.cycle_basis) for c in sol.coordinates},
-    }
-    return payload, EXIT_OK if sol.status != "none" else EXIT_VIOLATION
+    }, EXIT_OK if sol.status != "none" else EXIT_VIOLATION
 
 
 def run_tropical(path, doc, args):
@@ -68,22 +69,22 @@ def run_tropical(path, doc, args):
 
     graph, _, _, _, _ = doc
     res = tropical_feasible(graph)
-    payload = {"command": "tropical", "input": path, "feasible": res.feasible}
+    body = {"feasible": res.feasible}
     if res.witness is not None:
-        payload["witness"] = {
+        body["witness"] = {
             "lambda": {k: str(v) for k, v in sorted(res.witness.lam.items())},
             "slopes": {f"{vid}:{i}": str(v) for (vid, i), v in sorted(res.witness.slopes.items())},
         }
     if res.certificate:
-        payload["certificate"] = {f"{e}:{i}": str(y) for (e, i), y in sorted(res.certificate.items())}
+        body["certificate"] = {f"{e}:{i}": str(y) for (e, i), y in sorted(res.certificate.items())}
     if args.cone:
         cone = cone_sigma(graph)
-        payload["cone"] = {
+        body["cone"] = {
             "dimension": cone.dimension,
             "rays": [list(r) for r in cone.rays],
             "is_strictly_convex": cone.is_strictly_convex,
         }
-    return payload, EXIT_OK
+    return body, EXIT_OK
 
 
 def run_group(path, doc, args):
@@ -92,9 +93,7 @@ def run_group(path, doc, args):
     graph, _, _, _, _ = doc
     lmap = build_rho(graph)
     chars = lmap.character_basis()
-    payload = {
-        "command": "group",
-        "input": path,
+    return {
         "domain_rank": lmap.n_cols,
         "codomain_rank": lmap.n_rows,
         "kernel_rank": lmap.kernel_rank,
@@ -102,8 +101,7 @@ def run_group(path, doc, args):
         "kernel_basis": [list(r) for r in lmap.kernel_basis()],
         "characters": [list(r) for r in chars.rows],
         "invariant_factors": list(lmap.invariant_factors()),
-    }
-    return payload, EXIT_OK
+    }, EXIT_OK
 
 
 def _read_characters(args):
@@ -121,29 +119,22 @@ def _read_characters(args):
     return schema.character_rows(rows)
 
 
-def run_ob(path, doc, args):
-    return _ob_part(path, doc, args, _read_characters(args))
-
-
-def _ob_part(path, doc, args, rows):
+def run_ob(path, doc, args, rows=None):
+    """The ob body; `rows` are the --characters rows if the caller read them."""
     from .obstruction import compute_ob
     from .qi import qi_str
 
     graph, data, _, characters, _ = doc
+    if rows is None:
+        rows = _read_characters(args)
     if rows is not None:
         characters = schema.characters_on(graph, rows)
     ob = compute_ob(graph, data, characters)
-    payload = {
-        "command": "ob",
-        "input": path,
+    return {
         "values": [qi_str(v) for v in ob.values],
         "is_trivial": ob.is_trivial,
         "characters": [list(r) for r in ob.characters.rows],
-    }
-    code = EXIT_OK
-    if args.expect_trivial and not ob.is_trivial:
-        code = EXIT_VIOLATION
-    return payload, code
+    }, EXIT_VIOLATION if args.expect_trivial and not ob.is_trivial else EXIT_OK
 
 
 def run_dims(path, doc, args):
@@ -152,9 +143,7 @@ def run_dims(path, doc, args):
     graph, _, _, _, expect = doc
     cover = (expect or {}).get("cover")
     rep = dimension_report(graph, cover)
-    payload = {
-        "command": "dims",
-        "input": path,
+    return {
         "d_log": rep.d_log,
         "d_stratum": rep.d_stratum,
         "q_value": rep.q_value,
@@ -164,8 +153,7 @@ def run_dims(path, doc, args):
         "d_fiber": rep.d_fiber,
         "d_down": rep.d_down,
         "d_up": rep.d_up,
-    }
-    return payload, EXIT_OK
+    }, EXIT_OK
 
 
 def run_positivity(path, doc, args):
@@ -175,9 +163,7 @@ def run_positivity(path, doc, args):
     if profile is None:
         raise StructuralError("document carries no positivity profile")
     cls = classify_pair(profile)
-    payload = {
-        "command": "positivity",
-        "input": path,
+    return {
         "nef": cls.nef,
         "semi_positive": cls.semi_positive,
         "positive": cls.positive,
@@ -189,8 +175,7 @@ def run_positivity(path, doc, args):
              "multiplicity": w.multiplicity, "condition": w.condition}
             for w in cls.witnesses
         ],
-    }
-    return payload, EXIT_OK
+    }, EXIT_OK
 
 
 def run_rt(path, doc, args):
@@ -199,9 +184,7 @@ def run_rt(path, doc, args):
     graph, _, _, _, _ = doc
     trace = rt_reduce(MapModel(graph))
     ok, failures = verify_edge_invariant(trace)
-    payload = {
-        "command": "rt",
-        "input": path,
+    return {
         "q_values": list(trace.q_values),
         "genus_by_stage": list(trace.genus_by_stage),
         "ghost_deltas": [
@@ -220,38 +203,35 @@ def run_rt(path, doc, args):
             }
             for name, g in trace.stages
         },
-    }
-    return payload, EXIT_OK if ok else EXIT_VIOLATION
+    }, EXIT_OK if ok else EXIT_VIOLATION
 
 
 def run_report(path, doc, args):
     graph, _, profile, _, _ = doc
-    payload = {"command": "report", "input": path, "parts": {}}
-    code = EXIT_OK
-    part, c = run_validate(path, doc, args)
-    payload["parts"]["validate"] = part
-    code = max(code, c)
-    if part["valid"]:
-        part, c = run_group(path, doc, args)
-        payload["parts"]["group"] = part
+    parts, code = {}, EXIT_OK
+
+    def add(command, *extra):
+        nonlocal code
+        body, c = _COMMANDS[command](path, doc, args, *extra)
+        parts[command] = _envelope(command, path, body)
+        code = max(code, c)  # only validate and ob ever return nonzero
+
+    add("validate")
+    if parts["validate"]["valid"]:
+        add("group")
         if not graph.has_multinode:
-            part, c = run_tropical(path, doc, args)
-            payload["parts"]["tropical"] = part
-            part, c = run_dims(path, doc, args)
-            payload["parts"]["dims"] = part
+            add("tropical")
+            add("dims")
         # a bad characters file is the user's error; a graph that ob does
         # not apply to only drops the part
         rows = _read_characters(args)
         try:
-            part, c2 = _ob_part(path, doc, args, rows)
-            payload["parts"]["ob"] = part
-            code = max(code, c2)
+            add("ob", rows)
         except LogModuliError:
             pass
     if profile is not None:
-        part, c = run_positivity(path, doc, args)
-        payload["parts"]["positivity"] = part
-    return payload, code
+        add("positivity")
+    return {"parts": parts}, code
 
 
 _COMMANDS = {
@@ -302,11 +282,12 @@ def main(argv=None) -> int:
     code = EXIT_OK
     for path in args.inputs:
         try:
-            payload, c = runner(path, _load(path), args)
-        except InconsistencyError as exc:  # the program is at fault, not the input
-            payload, c = {"command": args.command, "input": path, "error": str(exc)}, EXIT_VIOLATION
+            body, c = runner(path, _load(path), args)
         except (LogModuliError, OSError) as exc:
-            payload, c = {"command": args.command, "input": path, "error": str(exc)}, EXIT_INPUT
+            # an inconsistency is the program's fault, not the input's
+            body, c = {"error": str(exc)}, (
+                EXIT_VIOLATION if isinstance(exc, InconsistencyError) else EXIT_INPUT)
+        payload = _envelope(args.command, path, body)
         if args.format == "json":
             sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         else:

@@ -40,31 +40,17 @@ def stratum_dim(graph: DecoratedDualGraph, real: bool = False) -> int:
     """Dimension of a simple stratum, computed two ways.
 
     Route one subtracts the kernel rank from the expected log dimension;
-    route two sums per-component dimensions, subtracts the node-matching
-    codimensions, and subtracts the torus dimension.  Disagreement is an
-    internal error.
+    route two subtracts the torus dimension (the cokernel rank) from the
+    pre-log dimension `plog_dim`, which sums per-component dimensions and
+    subtracts the node-matching codimensions.  Disagreement is an internal
+    error.
     """
     if graph.has_multinode:
         raise InputError("stratum_dim expects a graph without multi-nodes")
     lmap = build_rho(graph)
-    n = graph.n
-    g = graph.total_genus()
-    k = graph.k()
     c1 = sum(v.c1_log for v in graph.vertices)
-    route1 = expected_dim_log(c1, n, g, k) - lmap.kernel_rank
-
-    special = {v.id: 0 for v in graph.vertices}
-    for e in graph.edges:
-        for vid in e.ends:
-            special[vid] += 1
-    for l in graph.legs:
-        special[l.vertex] += 1
-    route2 = 0
-    for v in graph.vertices:
-        route2 += v.c1_log + (n - 3) * (1 - v.genus) + special[v.id] - len(v.stratum)
-    for e in graph.edges:
-        route2 -= n - len(e.stratum)
-    route2 -= lmap.cokernel_rank
+    route1 = expected_dim_log(c1, graph.n, graph.total_genus(), graph.k()) - lmap.kernel_rank
+    route2 = plog_dim(graph) - lmap.cokernel_rank
 
     if route1 != route2:
         raise InconsistencyError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, SizeCapError, StructuralError
 
@@ -22,8 +22,27 @@ _KINDS = (PRINCIPAL, BUBBLE, GHOST)
 _ENUMERATION_CAP = 100_000  # candidates one decoration enumeration may try
 
 
-def contact_vector(entries: Sequence[int]) -> tuple:
-    return tuple(int(x) for x in entries)
+_INT = frozenset((int,))
+
+
+def int_entries(entries, what, at="position {}") -> tuple:
+    """entries as a tuple of ints; an entry of any other type raises a
+    StructuralError naming `what` and the entry's place (`at` formatted
+    with its index)."""
+    entries = tuple(entries)
+    if not _INT.issuperset(map(type, entries)):
+        i, x = next((i, x) for i, x in enumerate(entries) if type(x) is not int)
+        raise StructuralError(f"{what} entry {x!r} at {at.format(i)} is not an integer")
+    return entries
+
+
+def int_rows(rows, what) -> tuple:
+    """rows as tuples of ints, checked as `int_entries` checks one row."""
+    rows = tuple(map(tuple, rows))
+    if not _INT.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        for r, row in enumerate(rows):
+            int_entries(row, what, f"row {r}, column {{}}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -41,9 +60,10 @@ class Vertex:
 
     def __post_init__(self):
         object.__setattr__(self, "stratum", frozenset(self.stratum))
-        object.__setattr__(self, "degrees", tuple(int(x) for x in self.degrees))
+        object.__setattr__(self, "degrees", int_entries(self.degrees, f"vertex {self.id!r} degrees"))
         if self.base_degrees is not None:
-            object.__setattr__(self, "base_degrees", tuple(int(x) for x in self.base_degrees))
+            object.__setattr__(self, "base_degrees",
+                               int_entries(self.base_degrees, f"vertex {self.id!r} base_degrees"))
 
 
 @dataclass(frozen=True)
@@ -68,9 +88,9 @@ class Edge:
         object.__setattr__(self, "ends", tuple(self.ends))
         object.__setattr__(self, "stratum", frozenset(self.stratum))
         if self.contact is not None:
-            object.__setattr__(self, "contact", contact_vector(self.contact))
+            object.__setattr__(self, "contact", int_entries(self.contact, f"edge {self.id!r} contact"))
         if self.contacts is not None:
-            object.__setattr__(self, "contacts", tuple(contact_vector(c) for c in self.contacts))
+            object.__setattr__(self, "contacts", int_rows(self.contacts, f"edge {self.id!r} contacts"))
         if self.into is not None:
             object.__setattr__(self, "into", tuple(bool(b) for b in self.into))
         if self.image_labels is not None:
@@ -105,15 +125,17 @@ class Leg:
     image_label: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "contact", contact_vector(self.contact))
+        object.__setattr__(self, "contact", int_entries(self.contact, f"leg {self.id!r} contact"))
 
 
 class DecoratedDualGraph:
     """Immutable decorated dual graph with cached adjacency."""
 
     def __init__(self, N: int, n: int, vertices, edges, legs):
-        self.N = int(N)
-        self.n = int(n)
+        for field, value in (("N", N), ("n", n)):
+            if type(value) is not int:
+                raise StructuralError(f"graph {field} = {value!r} is not an integer")
+        self.N, self.n = N, n
         self.vertices = tuple(sorted(vertices, key=lambda v: v.id))
         self.edges = tuple(sorted(edges, key=lambda e: e.id))
         self.legs = tuple(sorted(legs, key=lambda l: l.id))

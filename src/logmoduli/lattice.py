@@ -12,22 +12,8 @@ from dataclasses import dataclass
 
 from . import intlinalg as il
 from .errors import InputError, StructuralError
-from .graphs import DecoratedDualGraph, require_valid
+from .graphs import DecoratedDualGraph, int_rows, require_valid
 from .qi import QI_ONE
-
-
-_INT = frozenset((int,))
-
-
-def _int_rows(rows, what) -> tuple:
-    """rows as tuples of ints; an entry of any other type raises a
-    StructuralError naming its row and column."""
-    rows = tuple(map(tuple, rows))
-    for r, row in enumerate(rows):
-        if not _INT.issuperset(map(type, row)):
-            c, x = next((c, x) for c, x in enumerate(row) if type(x) is not int)
-            raise StructuralError(f"{what} entry {x!r} at row {r}, column {c} is not an integer")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -43,7 +29,7 @@ class Characters:
     index: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _int_rows(self.rows, "character"))
+        object.__setattr__(self, "rows", int_rows(self.rows, "character"))
         object.__setattr__(self, "index", tuple(self.index))
 
     @property
@@ -101,7 +87,7 @@ class LatticeMap:
 
     def __init__(self, matrix, domain_index, codomain_index, graph=None):
         domain_index, codomain_index = tuple(domain_index), tuple(codomain_index)
-        dense = _int_rows(matrix, "matrix")
+        dense = int_rows(matrix, "matrix")
         if len(dense) != len(codomain_index) or any(len(row) != len(domain_index)
                                                      for row in dense):
             widths = "/".join(map(str, sorted({len(row) for row in dense}))) or "0"

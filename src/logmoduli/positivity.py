@@ -31,6 +31,8 @@ class CurveFamily:
     def __post_init__(self):
         object.__setattr__(self, "stratum", frozenset(self.stratum))
         object.__setattr__(self, "dot", tuple(int(x) for x in self.dot))
+        if isinstance(self.multiplicity, list):
+            object.__setattr__(self, "multiplicity", tuple(self.multiplicity))
         if isinstance(self.delta, list):
             object.__setattr__(self, "delta", tuple(self.delta))
 
@@ -169,8 +171,6 @@ def hyperplane_profile(n: int, d: int) -> GeometryProfile:
     """
     fams = []
     for depth in range(0, min(d, n - 1) + 1):
-        if depth > d:
-            break
         stratum = frozenset(range(1, depth + 1))
         dot = tuple(1 for _ in range(d))
         fams.append(

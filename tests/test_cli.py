@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -721,3 +722,56 @@ def test_stratum_dimension_routes_disagreeing_is_an_internal_error(monkeypatch):
             code = cli.main([command, fixture("good_ex1.json")])
         assert code == cli.EXIT_VIOLATION == 1, command
         assert "stratum dimension routes disagree" in json.loads(out.getvalue())["error"]
+
+
+# -- the CLI sweep ----------------------------------------------------------------
+
+SWEEP_FLAGS = (
+    (),
+    ("--format", "table"),
+    ("--characters", "src/logmoduli/fixtures/characters_good_ex2.json"),
+    ("--cone",),
+    ("--bound", "2"),
+    ("--expect-trivial",),
+    ("--multinode",),
+)
+# recorded at f472b34, before the payload envelope moved out of the runners
+SWEEP_DIGEST = "66025fb555688171"
+SWEEP_CODES = {0: 687, 1: 51, 2: 351}
+
+
+def test_cli_sweep_matches_the_recorded_digest(monkeypatch):
+    """Every command on every fixture under each flag set, on two fixtures at
+    once and on a missing file, run in process from the repository root: one
+    digest over (argv, exit code, stdout) pins the table form, the flags and
+    multi-input runs that the goldens above leave out."""
+    monkeypatch.chdir(ROOT)
+    names = sorted(os.listdir("src/logmoduli/fixtures"))
+    paths = [f"src/logmoduli/fixtures/{name}" for name in names]
+    runs = [[command, path, *flags]
+            for command in sorted(cli._COMMANDS) for path in paths for flags in SWEEP_FLAGS]
+    runs += [[command, path, paths[(i + 1) % len(paths)]]
+             for command in sorted(cli._COMMANDS) for i, path in enumerate(paths)]
+    runs += [[command, "src/logmoduli/fixtures/missing.json"] for command in sorted(cli._COMMANDS)]
+    digest, codes = hashlib.sha256(), {}
+    for argv in runs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(argv)
+        digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+        codes[code] = codes.get(code, 0) + 1
+    assert (len(names), len(runs)) == (15, 1089)
+    assert codes == SWEEP_CODES
+    assert digest.hexdigest()[:16] == SWEEP_DIGEST
+
+
+def test_readme_cli_section_documents_every_flag():
+    """The README's CLI section names exactly the parser's long options
+    (argparse's own --help aside)."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = {opt for action in cli._parser()._actions for opt in action.option_strings
+             if opt.startswith("--")} - {"--help"}
+    assert "--format" in flags
+    assert flags == set(re.findall(r"--[a-z][a-z-]*", section))

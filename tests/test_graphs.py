@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -59,6 +60,46 @@ def test_ghost_with_nonzero_degree_flagged():
     )
     report = lm.validate_graph(g)
     assert "ghost-degree" in report.codes()
+
+
+def test_edge_refuses_non_integer_contact_entries():
+    with pytest.raises(StructuralError, match=re.escape(
+            "edge 'e' contact entry 1.5 at position 0 is not an integer")):
+        lm.Edge("e", ("a", "b"), contact=(1.5, True))
+    with pytest.raises(StructuralError, match=re.escape(
+            "edge 'e' contact entry True at position 1 is not an integer")):
+        lm.Edge("e", ("a", "b"), contact=(1, True))
+    with pytest.raises(StructuralError, match=re.escape(
+            "edge 'm' contacts entry '1' at row 1, column 0 is not an integer")):
+        lm.Edge("m", ("a", "b", "c"), contacts=((1,), ("1",), (0,)))
+    # `into` is a flag per branch, read through bool()
+    assert lm.Edge("m", ("a", "b", "c"), contacts=((1,), (-1,), (0,)), into=(1, 0, 1)).into == (
+        True, False, True)
+
+
+def test_vertex_refuses_non_integer_degrees():
+    with pytest.raises(StructuralError, match=re.escape(
+            "vertex 'a' degrees entry 2.7 at position 0 is not an integer")):
+        lm.Vertex("a", degrees=(2.7, 0))
+    with pytest.raises(StructuralError, match=re.escape(
+            "vertex 'a' base_degrees entry 0.5 at position 1 is not an integer")):
+        lm.Vertex("a", degrees=(2, 0), base_degrees=(1, 0.5))
+
+
+def test_leg_refuses_non_integer_contact_entries():
+    with pytest.raises(StructuralError, match=re.escape(
+            "leg 'z' contact entry 0.9 at position 0 is not an integer")):
+        lm.Leg("z", "a", contact=(0.9,))
+
+
+def test_graph_refuses_non_integer_N_and_n():
+    v = lm.Vertex("a", degrees=(0, 0))
+    with pytest.raises(StructuralError, match=re.escape("graph N = 2.9 is not an integer")):
+        lm.DecoratedDualGraph(2.9, 3.5, [v], [], [])
+    with pytest.raises(StructuralError, match=re.escape("graph n = 3.5 is not an integer")):
+        lm.DecoratedDualGraph(2, 3.5, [v], [], [])
+    g = lm.DecoratedDualGraph(2, 3, [v], [], [])
+    assert (g.N, g.n) == (2, 3)
 
 
 def test_structural_errors_raise():

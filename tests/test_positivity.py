@@ -135,3 +135,15 @@ def test_empty_zero_exemption_flag():
     assert default.strongly_semi_positive
     assert not strict.strongly_semi_positive
     assert default.strongly_semi_positive_strict_flag is False
+
+
+def test_list_multiplicity_is_the_finite_tuple():
+    def classify(dot, multiplicity):
+        fam = lm.CurveFamily("f", (), 4, dot, multiplicity=multiplicity)
+        return lm.classify_pair(lm.GeometryProfile(3, 2, [fam]))
+
+    assert lm.CurveFamily("f", (), 4, [1, 1], multiplicity=[1, 2]).multiplicity == (1, 2)
+    assert classify([1, 1], [1, 2]) == classify([1, 1], (1, 2))
+    # a non-nef family, so the classification carries a witness
+    assert classify([-1, 2], [1, 2]) == classify([-1, 2], (1, 2))
+    assert classify([-1, 2], [1, 2]).witnesses
