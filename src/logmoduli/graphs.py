@@ -27,12 +27,13 @@ _INT = frozenset((int,))
 
 def int_entries(entries, what, at="position {}") -> tuple:
     """entries as a tuple of ints; an entry of any other type raises a
-    StructuralError naming `what` and the entry's place (`at` formatted
-    with its index)."""
+    StructuralError naming `what` and the entry's place: `at` formatted
+    with its index, or its name when `at` is a tuple of names."""
     entries = tuple(entries)
     if not _INT.issuperset(map(type, entries)):
         i, x = next((i, x) for i, x in enumerate(entries) if type(x) is not int)
-        raise StructuralError(f"{what} entry {x!r} at {at.format(i)} is not an integer")
+        place = at[i] if isinstance(at, tuple) else at.format(i)
+        raise StructuralError(f"{what} entry {x!r} at {place} is not an integer")
     return entries
 
 
@@ -60,6 +61,9 @@ class Vertex:
 
     def __post_init__(self):
         object.__setattr__(self, "stratum", frozenset(self.stratum))
+        cover, base = self.cover_degree, self.base_c1_log  # None when absent, checked as 0
+        int_entries((self.genus, self.c1_log, 0 if cover is None else cover, 0 if base is None else base),
+                    f"vertex {self.id!r}", ("genus", "c1_log", "cover_degree", "base_c1_log"))
         object.__setattr__(self, "degrees", int_entries(self.degrees, f"vertex {self.id!r} degrees"))
         if self.base_degrees is not None:
             object.__setattr__(self, "base_degrees",

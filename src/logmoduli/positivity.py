@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .errors import InputError
+from .graphs import int_entries
 
 Multiplicity = Union[str, Tuple[int, ...]]
 
@@ -30,7 +31,8 @@ class CurveFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "stratum", frozenset(self.stratum))
-        object.__setattr__(self, "dot", tuple(int(x) for x in self.dot))
+        int_entries((self.c1_tx,), f"family {self.label!r}", ("c1_tx",))
+        object.__setattr__(self, "dot", int_entries(self.dot, f"family {self.label!r} dot"))
         if isinstance(self.multiplicity, list):
             object.__setattr__(self, "multiplicity", tuple(self.multiplicity))
         if isinstance(self.delta, list):
@@ -48,7 +50,7 @@ class CurveFamily:
         tag, w = self.delta
         if tag != "linear":
             raise InputError("cannot decide symbolically: unsupported delta form; enumerate")
-        return m * int(w)
+        return m * int_entries((w,), f"family {self.label!r}", ("linear delta weight",))[0]
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class GeometryProfile:
     families: tuple
 
     def __post_init__(self):
+        int_entries((self.n, self.N), "profile", ("n", "N"))
         object.__setattr__(self, "families", tuple(self.families))
         for f in self.families:
             if len(f.dot) != self.N:

@@ -200,9 +200,7 @@ def _triple(x):
         raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)") from None
 
 
-QI_ZERO = GaussianRational(0)
 QI_ONE = GaussianRational(1)
-QI_I = GaussianRational(0, 1)
 
 
 def _ratio_str(p: int, q: int) -> str:

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
-from .dimension import ghost_collapse_delta, node_ledger, tracking_quantity
+from .dimension import (
+    cover_replace_delta, ghost_collapse_delta, node_ledger, tracking_quantity,
+)
 from .errors import InputError
 from .graphs import (
     GHOST, PRINCIPAL, DecoratedDualGraph, _components, first_betti_number, validate_graph,
@@ -240,7 +242,7 @@ def _step_replace_covers(g: RTGraph):
         v.c1_log = base
         _merge_labelled_points(g, vid)
         after = len(_special_points_of(g, vid))
-        deltas.append((vid, (d - 1) * base + before - after))
+        deltas.append((vid, cover_replace_delta(d, base, before, after)))
     return g, deltas
 
 

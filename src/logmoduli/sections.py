@@ -4,6 +4,10 @@ A section is kept in factored form: a nonzero scale times a product of
 (z - root)^mult over finite roots; the multiplicity at infinity is forced by
 the degree.  Charts: trivializations over the two affine charts with
 transition z^d, so the local representative at infinity is w^d * zeta(1/w).
+
+`RationalSection` is the one check of a divisor (distinct points, integer
+orders, the order at infinity the degree forces); `build_section` adds only
+the degree rule, that the listed orders sum to the degree.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import InputError, StructuralError
+from .graphs import int_entries
 from .qi import QI_ONE, GaussianRational, qi_parse, qi_str
 
 INF = "inf"
@@ -48,39 +53,32 @@ class P1Point:
     def __str__(self):
         return INF if self.value is None else qi_str(self.value)
 
-    def __hash__(self):
-        return hash(("inf",)) if self.value is None else hash(self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, P1Point):
-            return NotImplemented
-        return self.value == other.value
-
 
 class RationalSection:
-    """Factored section of O(degree) with prescribed zero/pole divisor."""
+    """Factored section of O(degree) with prescribed zero/pole divisor.
+
+    The one check of a divisor: its points are pairwise distinct, infinity
+    and points of order 0 included, its orders and the degree are integers,
+    and a listed order at infinity is the one the degree forces.
+    """
 
     def __init__(self, degree: int, scale: GaussianRational, factors):
         if not isinstance(scale, GaussianRational):
             scale = GaussianRational(scale)
         if scale.is_zero():
             raise InputError("section scale must be nonzero")
-        self.degree = int(degree)
-        self.scale = scale
-        finite = {}
-        inf_order = None
-        for pt, mult in factors:
+        orders = {}
+        for pt, order in factors:
             pt = P1Point.finite(pt)
-            mult = int(mult)
-            if mult == 0:
-                continue
-            if pt.is_infinity:
-                inf_order = mult if inf_order is None else inf_order + mult
-            else:
-                if pt in finite:
-                    raise InputError(f"repeated root {pt}")
-                finite[pt] = mult
-        self.finite_factors = dict(sorted(finite.items(), key=lambda kv: str(kv[0])))
+            if pt in orders:
+                raise InputError(f"divisor points must be pairwise distinct; {pt} repeats")
+            orders[pt] = order
+        self.degree = int_entries((degree,), "section", ("degree",))[0]
+        int_entries(orders.values(), "section divisor order")
+        self.scale = scale
+        inf_order = orders.pop(P1Point.infinity(), None)
+        self.finite_factors = dict(sorted(((pt, m) for pt, m in orders.items() if m),
+                                          key=lambda kv: str(kv[0])))
         forced = self.degree - sum(self.finite_factors.values())
         if inf_order is not None and inf_order != forced:
             raise InputError(
@@ -121,28 +119,15 @@ def build_section(degree: int, divisor: Sequence[Tuple], scale=QI_ONE) -> Ration
 
     A point absent from the divisor carries order 0, infinity included, so a
     section exists iff the listed orders sum to the degree: the genus-zero
-    line-bundle triviality criterion.
+    line-bundle triviality criterion.  That degree rule is the one check
+    added here; `RationalSection` checks the divisor itself.
     """
-    pts = []
-    seen = set()
-    explicit_inf = 0
-    total_finite = 0
-    for raw_pt, order in divisor:
-        pt = P1Point.finite(raw_pt)
-        if pt in seen:
-            raise InputError(f"divisor points must be pairwise distinct; {pt} repeats")
-        seen.add(pt)
-        if pt.is_infinity:
-            explicit_inf = int(order)
-        else:
-            total_finite += int(order)
-            pts.append((pt, int(order)))
-    if total_finite + explicit_inf != degree:
-        raise InputError(
-            "no such section: divisor degree "
-            f"{total_finite + explicit_inf} != bundle degree {degree}"
-        )
-    return RationalSection(degree, scale, pts)
+    divisor = tuple(divisor)
+    section = RationalSection(degree, scale, divisor)
+    listed = sum(order for _, order in divisor)
+    if listed != degree:
+        raise InputError(f"no such section: divisor degree {listed} != bundle degree {degree}")
+    return section
 
 
 def leading_coefficient(section: RationalSection, point: P1Point):
@@ -186,7 +171,7 @@ def order_vector(
                 raise StructuralError(f"missing section for coordinate {i}")
             out.append(sec.order_at(point))
         else:
-            t = int(tangency.get(i, 0))
+            t = int_entries((tangency.get(i, 0),), "tangency", (f"coordinate {i}",))[0]
             if t < 0:
                 raise InputError(f"tangency order for coordinate {i} must be >= 0")
             out.append(t)

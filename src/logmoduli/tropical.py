@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -29,21 +28,16 @@ class TropicalWitness:
     slopes: dict  # (vertex id, i) -> Fraction > 0
 
     def check(self, graph: DecoratedDualGraph) -> bool:
-        """Exact verification of the defining equations and positivity."""
-        for value in self.lam.values():
-            if value <= 0:
-                return False
-        for value in self.slopes.values():
-            if value <= 0:
-                return False
-        for e in graph.edges:
-            v1, v2 = e.ends
-            for i in range(1, graph.N + 1):
-                s1 = self.slopes.get((v1, i), Fraction(0))
-                s2 = self.slopes.get((v2, i), Fraction(0))
-                if s2 - s1 != self.lam[e.id] * e.contact[i - 1]:
-                    return False
-        return True
+        """Exact verification on the equations of rho: one value > 0 for each
+        domain variable (lam[e] for ("edge", e), slopes[(v, i)] for
+        ("vertex", v, i)), no other key, and every equation solved."""
+        vars_, rows, _ = _system(graph)
+        if len(self.lam) + len(self.slopes) != len(vars_):
+            return False
+        x = [self.lam.get(var[1]) if var[0] == "edge" else self.slopes.get(var[1:])
+             for var in vars_]
+        return (all(v is not None and v > 0 for v in x)
+                and all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows))
 
 
 @dataclass(frozen=True)
@@ -59,8 +53,10 @@ def _system(graph: DecoratedDualGraph):
     The system is the lattice map rho, negated so that the row of node e
     and coordinate i reads s(ends[1], i) - s(ends[0], i) - lam_e * contact_i;
     the zero rows of loops are dropped, since a zero row with a label would
-    put a spurious multiplier into a Farkas certificate.
+    put a spurious multiplier into a Farkas certificate.  A graph that fails
+    validation, multi-nodes included, raises InputError.
     """
+    require_valid(graph)
     lmap = build_rho(graph)
     rows, labels = [], []
     for row, label in zip(lmap._sparse_rows, lmap.codomain_index):
@@ -72,27 +68,14 @@ def _system(graph: DecoratedDualGraph):
 
 def tropical_feasible(graph: DecoratedDualGraph) -> TropicalResult:
     """Decide the tropical condition by exact rational feasibility."""
-    require_valid(graph)
     vars_, rows, labels = _system(graph)
-    if not vars_:
-        return TropicalResult(True, TropicalWitness({}, {}))
     b = [0] * len(rows)
     res = linprog.feasible_eq_lower(rows, b, [1] * len(vars_))
     if res.feasible:
-        lam = {}
-        slopes = {}
-        for var, val in zip(vars_, res.point):
-            if var[0] == "edge":
-                lam[var[1]] = val
-            else:
-                slopes[(var[1], var[2])] = val
-        witness = TropicalWitness(lam, slopes)
-        return TropicalResult(True, witness)
-    cert = {}
-    if res.certificate is not None:
-        for label, y in zip(labels, res.certificate):
-            if y != 0:
-                cert[label] = y
+        lam = {var[1]: x for var, x in zip(vars_, res.point) if var[0] == "edge"}
+        slopes = {var[1:]: x for var, x in zip(vars_, res.point) if var[0] == "vertex"}
+        return TropicalResult(True, TropicalWitness(lam, slopes))
+    cert = {label: y for label, y in zip(labels, res.certificate or ()) if y != 0}
     return TropicalResult(False, None, cert)
 
 
@@ -147,8 +130,6 @@ def feasible_by_fourier_motzkin(graph: DecoratedDualGraph) -> bool:
     vars_, rows, _ = _system(graph)
     if len(vars_) > 12:
         raise SizeCapError("fourier-motzkin cross-check capped at 12 variables")
-    if not vars_:
-        return True
     ineqs = []
     for row in rows:
         ineqs.append(row + [0])

@@ -86,6 +86,14 @@ def test_vertex_refuses_non_integer_degrees():
         lm.Vertex("a", degrees=(2, 0), base_degrees=(1, 0.5))
 
 
+def test_vertex_refuses_non_integer_scalars():
+    for field, value in (("genus", 0.5), ("c1_log", 1.7), ("cover_degree", 2.0),
+                         ("base_c1_log", True)):
+        with pytest.raises(StructuralError, match=re.escape(
+                f"vertex 'a' entry {value!r} at {field} is not an integer")):
+            lm.Vertex("a", degrees=(0,), **{field: value})
+    assert lm.Vertex("a", degrees=(0,), cover_degree=None).cover_degree is None
+
 def test_leg_refuses_non_integer_contact_entries():
     with pytest.raises(StructuralError, match=re.escape(
             "leg 'z' contact entry 0.9 at position 0 is not an integer")):

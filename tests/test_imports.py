@@ -181,3 +181,39 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) == len(SUBMODULES) + 3  # the package, its cli and its schema
     unused = {os.path.basename(path): _unused_imports(path) for path in modules}
     assert {name: lines for name, lines in unused.items() if lines} == {}
+
+
+def _top_level_names(tree):
+    """(name, first line, last line) of each function, class and assignment
+    at the top level of a module, decorators included."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            yield name, first, node.end_lineno
+
+
+def test_every_top_level_name_is_named_outside_its_definition():
+    repo = os.path.dirname(TESTS)
+    texts = {path: open(path, encoding="utf-8").read()
+             for folder in ("src", "tests", "bench")
+             for path in glob.glob(os.path.join(repo, folder, "**", "*.py"), recursive=True)}
+    words = {}
+    for text in texts.values():
+        for word in re.findall(r"\w+", text):
+            words[word] = words.get(word, 0) + 1
+    dead = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_ROOT, "logmoduli", "*.py"))):
+        lines = texts[path].splitlines()
+        for name, first, last in _top_level_names(ast.parse(texts[path], path)):
+            own = re.findall(rf"\b{name}\b", "\n".join(lines[first - 1:last]))
+            if not (name.startswith("__") and name.endswith("__")) and words[name] == len(own):
+                dead.append(f"{os.path.basename(path)}:{first} {name}")
+    assert len(texts) > len(SUBMODULES)
+    assert dead == []

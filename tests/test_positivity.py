@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 import logmoduli as lm
-from logmoduli.errors import InputError
+from logmoduli.errors import InputError, StructuralError
 
 
 def test_hyperplane_arrangement_ranges():
@@ -147,3 +149,25 @@ def test_list_multiplicity_is_the_finite_tuple():
     # a non-nef family, so the classification carries a witness
     assert classify([-1, 2], [1, 2]) == classify([-1, 2], (1, 2))
     assert classify([-1, 2], [1, 2]).witnesses
+
+
+def test_curve_family_refuses_non_integer_pairings():
+    with pytest.raises(StructuralError, match=re.escape(
+            "family 'f' dot entry 1.5 at position 0 is not an integer")):
+        lm.CurveFamily("f", (), 4, [1.5, 1])
+    with pytest.raises(StructuralError, match=re.escape(
+            "family 'f' entry 4.5 at c1_tx is not an integer")):
+        lm.CurveFamily("f", (), 4.5, [1, 1])
+    fam = lm.CurveFamily("f", (), 4, [1, 1], delta=("linear", 1.9))
+    with pytest.raises(StructuralError, match=re.escape(
+            "family 'f' entry 1.9 at linear delta weight is not an integer")):
+        fam.delta_at(1)
+
+
+def test_geometry_profile_refuses_non_integer_n_and_N():
+    with pytest.raises(StructuralError, match=re.escape(
+            "profile entry 2.5 at n is not an integer")):
+        lm.GeometryProfile(2.5, 2, [])
+    with pytest.raises(StructuralError, match=re.escape(
+            "profile entry 2.0 at N is not an integer")):
+        lm.GeometryProfile(2, 2.0, [])

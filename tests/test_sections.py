@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from logmoduli.errors import InputError
+from logmoduli.errors import InputError, StructuralError
 from logmoduli.qi import GaussianRational as Q
-from logmoduli.sections import P1Point, build_section, leading_coefficient, order_vector
+from logmoduli.sections import (
+    P1Point, RationalSection, build_section, leading_coefficient, order_vector,
+)
 
 INF = P1Point.infinity()
 
@@ -41,6 +43,20 @@ def test_build_section_zero_two_pole_one():
 def test_repeated_divisor_point_rejected():
     with pytest.raises(InputError):
         build_section(0, [(pt(1), 1), (pt(1), -1)])
+    # infinity and points of order 0 repeat too, whichever way the section is made
+    for degree, divisor in ((2, [(INF, 1), (INF, 1)]), (0, [(pt(3), 0), (pt(3), 0)])):
+        for make in (build_section, lambda d, div: RationalSection(d, Q(1), div)):
+            with pytest.raises(InputError, match="pairwise distinct"):
+                make(degree, divisor)
+
+
+def test_section_degree_and_orders_must_be_integers():
+    with pytest.raises(StructuralError, match="section divisor order entry 1.9 at position 0"):
+        build_section(1, [(pt(0), 1.9)])
+    with pytest.raises(StructuralError, match="section entry 1.0 at degree"):
+        RationalSection(1.0, Q(1), [(pt(0), 1)])
+    with pytest.raises(InputError, match="order at infinity 0 inconsistent"):
+        RationalSection(1, Q(1), [(pt(0), 0), (INF, 0)])
 
 
 def test_leading_coefficient_simple_pole():
@@ -105,6 +121,8 @@ def test_order_vector_reads_sections_and_tangencies():
     assert order_vector(3, {1, 2}, secs, pt(9)) == (0, 0, 0)
     with pytest.raises(InputError):
         order_vector(3, {1, 2}, secs, pt(0), tangency={3: -1})
+    with pytest.raises(StructuralError, match="tangency entry 1.9 at coordinate 3"):
+        order_vector(3, {1, 2}, secs, pt(0), tangency={3: 1.9})
 
 
 def test_order_vector_three_hyperplane_ghost():

@@ -22,6 +22,20 @@ def test_two_line_ghost_feasible_with_checked_witness():
         {("v0", 1): Fraction(1), ("v0", 2): Fraction(1)},
     )
     assert stated.check(g)
+    lam, slopes = stated.lam, stated.slopes
+    refused = [
+        (lam, {("v0", 1): Fraction(1)}),  # a slope missing
+        ({"e1": Fraction(1), "e2": Fraction(1)}, slopes),  # an edge length missing
+        (lam, {**slopes, ("v1", 1): Fraction(1)}),  # a key rho has no variable for
+        ({e: Fraction(0) for e in lam}, {k: Fraction(0) for k in slopes}),  # zero entries
+        ({**lam, "e1": Fraction(2)}, slopes),  # positive, but e1's equations fail
+    ]
+    for bad_lam, bad_slopes in refused:
+        assert not lm.TropicalWitness(bad_lam, bad_slopes).check(g)
+    # one vertex on a divisor: its slope is a variable, so the empty witness fails
+    lone = lm.DecoratedDualGraph(1, 2, [lm.Vertex("a", 0, {1}, 0, (0,))], [], [])
+    assert not lm.TropicalWitness({}, {}).check(lone)
+    assert lm.tropical_feasible(lone).witness.check(lone)
 
 
 def test_three_hyperplane_star_feasible_with_stated_witness():
@@ -263,3 +277,7 @@ def test_cone_rejects_multinode_graph():
     collapsed, _, _, _, _ = lm.collapse_ghost(g, data, "v0")
     with pytest.raises(lm.InputError, match="multi-node edge not allowed"):
         lm.cone_sigma(collapsed)
+    # the witness check refuses the graph as tropical_feasible does
+    for refuses in (lm.tropical_feasible, lm.TropicalWitness({}, {}).check):
+        with pytest.raises(lm.InputError, match="multi-node edge not allowed"):
+            refuses(collapsed)
