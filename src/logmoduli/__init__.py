@@ -23,13 +23,13 @@ _EXPORTS = {
         "ValidationReport", "Vertex", "solve_decorations", "validate_graph",
     ),
     "lattice": (
-        "CharacterBasis", "LatticeMap", "build_rho", "build_rho_multinode",
+        "CharacterBasis", "Characters", "LatticeMap", "build_rho", "build_rho_multinode",
         "cokernel_characters", "kernel_lattice", "multinode_character_pullback", "node_index",
     ),
     "obstruction": (
-        "Characters", "CurveData", "GhostConfig", "ObstructionClass", "OV0Result",
-        "canonical_characters", "collapse_ghost", "collapse_homomorphism", "compute_ob",
-        "compute_ob_multinode", "compute_o_v0", "flip_edge", "relation_check",
+        "GhostConfig", "ObstructionClass", "OV0Result", "canonical_characters", "collapse_ghost",
+        "collapse_homomorphism", "compute_ob", "compute_ob_multinode", "compute_o_v0",
+        "flip_edge", "relation_check",
     ),
     "dimension": (
         "DimensionReport", "cover_fiber_dim", "cover_replace_delta", "dimension_report",
@@ -43,7 +43,7 @@ _EXPORTS = {
     "qi": ("GaussianRational", "qi_parse", "qi_str"),
     "rt": ("MapModel", "ReductionTrace", "classify_cluster", "rt_reduce", "verify_edge_invariant"),
     "sections": (
-        "INF", "P1Point", "RationalSection", "build_section", "leading_coefficient",
+        "INF", "CurveData", "P1Point", "RationalSection", "build_section", "leading_coefficient",
         "order_vector",
     ),
     "tropical": (

@@ -289,7 +289,7 @@ def main(argv=None) -> int:
                 EXIT_VIOLATION if isinstance(exc, InconsistencyError) else EXIT_INPUT)
         payload = _envelope(args.command, path, body)
         if args.format == "json":
-            sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(schema.dumps(payload))
         else:
             _format_table(payload, sys.stdout)
         code = max(code, c)

@@ -17,7 +17,7 @@ entry, and the collapse reverses the edges into the ghost in one rebuild
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from . import intlinalg as il
@@ -25,18 +25,7 @@ from .errors import InputError, MissingEtaError, StructuralError
 from .graphs import GHOST, DecoratedDualGraph, Edge, Vertex, _components, require_valid
 from .lattice import Characters, build_rho, multinode_character_pullback, node_index
 from .qi import GaussianRational
-from .sections import P1Point, RationalSection, build_section, leading_coefficient
-
-
-@dataclass
-class CurveData:
-    """Analytic decorations: point positions, sections, and user-supplied
-    leading coefficients for coordinates transverse to a component."""
-
-    positions: Dict[tuple, P1Point] = field(default_factory=dict)  # (edge id, end idx)
-    leg_positions: Dict[str, P1Point] = field(default_factory=dict)
-    sections: Dict[str, Dict[int, RationalSection]] = field(default_factory=dict)
-    eta: Dict[tuple, GaussianRational] = field(default_factory=dict)  # (edge id, end idx, i)
+from .sections import CurveData, RationalSection, build_section, leading_coefficient
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, StructuralError
 from .graphs import int_entries
 
 Multiplicity = Union[str, Tuple[int, ...]]
@@ -33,10 +33,14 @@ class CurveFamily:
         object.__setattr__(self, "stratum", frozenset(self.stratum))
         int_entries((self.c1_tx,), f"family {self.label!r}", ("c1_tx",))
         object.__setattr__(self, "dot", int_entries(self.dot, f"family {self.label!r} dot"))
-        if isinstance(self.multiplicity, list):
-            object.__setattr__(self, "multiplicity", tuple(self.multiplicity))
-        if isinstance(self.delta, list):
-            object.__setattr__(self, "delta", tuple(self.delta))
+        if self.multiplicity != "all":
+            object.__setattr__(self, "multiplicity",
+                               int_entries(self.multiplicity, f"family {self.label!r} multiplicity"))
+        delta = tuple(self.delta) if isinstance(self.delta, list) else self.delta
+        if not (delta is None or type(delta) is int or type(delta) is tuple and len(delta) == 2):
+            raise StructuralError(f"family {self.label!r}: delta must be None, an integer or a "
+                                  f"(tag, weight) pair, got {delta!r}")
+        object.__setattr__(self, "delta", delta)
 
     @property
     def c1_log_unit(self) -> int:
@@ -96,9 +100,7 @@ def _multiplicities(profile: GeometryProfile, family: CurveFamily):
         # constant threshold), so finite enumeration is exact.
         cap = max(2 * profile.n + 5, abs(3 - profile.n) + profile.N + 6, 8)
         return range(1, cap + 1)
-    if isinstance(family.multiplicity, tuple):
-        return family.multiplicity
-    raise InputError("multiplicity must be 'all' or a finite list")
+    return family.multiplicity
 
 
 def classify_pair(profile: GeometryProfile, exempt_empty_zero: bool = True) -> Classification:

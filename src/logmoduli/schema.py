@@ -12,19 +12,20 @@ the enclosing record, rooted at `document`, and the field:
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _str
 from typing import TYPE_CHECKING, Optional
 
 from .errors import StructuralError
 from .graphs import DecoratedDualGraph, Edge, Leg, Vertex
-from .lattice import node_index
-from .obstruction import Characters, CurveData
+from .lattice import Characters, node_index
 from .qi import qi_parse, qi_str
-from .sections import P1Point, RationalSection
+from .sections import CurveData, P1Point, RationalSection
 
 if TYPE_CHECKING:
     from .positivity import GeometryProfile
 
 SCHEMA_VERSION = "1"
+_INF = float("inf")
 
 # The kinds of field.  The JSON types int, str, bool, dict (an object) and
 # list read as themselves, _P1 reads a Q(i) string or "inf", _DELTA a profile
@@ -353,7 +354,108 @@ def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = No
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical text of a JSON value, the one writer of the layout: the
+    text that json.dumps writes with sorted keys and an indent of 2, plus a
+    newline.  It is written here because json's C encoder takes no indent
+    and its Python encoder is about twice as slow."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out, newline):
+    """Append the chunks of value to out, laid out as json lays it out at the
+    depth whose line break and indent is `newline`.  Scalar entries of a
+    container join their separator in one chunk; exact str and int entries,
+    nearly all of a payload, skip `_scalar` (an exact int formats as
+    `int.__repr__` writes it)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head, sep = "[" + inner, "," + inner
+        for item in value:
+            if type(item) is int:
+                out.append(f"{head}{item}")
+            elif type(item) is str:
+                out.append(f"{head}{_str(item)}")
+            else:
+                text = _scalar(item)
+                if text is None:
+                    out.append(head)
+                    _write(item, out, inner)
+                else:
+                    out.append(f"{head}{text}")
+            head = sep
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head, sep = "{" + inner, "," + inner
+        # sorted by the keys themselves, as json sorts before it converts
+        # them, so 9 precedes 10
+        for key in sorted(value):
+            item = value[key]
+            key = _str(key) if type(key) is str else _key(key)
+            if type(item) is str:
+                out.append(f"{head}{key}: {_str(item)}")
+            elif type(item) is int:
+                out.append(f"{head}{key}: {item}")
+            else:
+                text = _scalar(item)
+                if text is None:
+                    out.append(f"{head}{key}: ")
+                    _write(item, out, inner)
+                else:
+                    out.append(f"{head}{key}: {text}")
+            head = sep
+        out.append(newline + "}")
+    else:
+        text = _scalar(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _scalar(value):
+    """The JSON text of a scalar, or None for anything else."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    return None
+
+
+def _float(value):
+    """A float as json writes it, NaN and the infinities by name."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key(key):
+    """A dict key as json writes it: a scalar's text as a string."""
+    if isinstance(key, str):
+        return _str(key)
+    if key is None or isinstance(key, (int, float)):  # bools included
+        return _str(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def loads(text: str):

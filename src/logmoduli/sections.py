@@ -12,8 +12,8 @@ the degree rule, that the listed orders sum to the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InputError, StructuralError
 from .graphs import int_entries
@@ -112,6 +112,17 @@ class RationalSection:
     def __repr__(self):
         root_bits = ", ".join(f"({p}: {m})" for p, m in self.finite_factors.items())
         return f"RationalSection(deg={self.degree}, scale={self.scale}, roots=[{root_bits}], inf={self.inf_order})"
+
+
+@dataclass
+class CurveData:
+    """Analytic decorations: point positions, sections, and user-supplied
+    leading coefficients for coordinates transverse to a component."""
+
+    positions: Dict[tuple, P1Point] = field(default_factory=dict)  # (edge id, end idx)
+    leg_positions: Dict[str, P1Point] = field(default_factory=dict)
+    sections: Dict[str, Dict[int, RationalSection]] = field(default_factory=dict)
+    eta: Dict[tuple, GaussianRational] = field(default_factory=dict)  # (edge id, end idx, i)
 
 
 def build_section(degree: int, divisor: Sequence[Tuple], scale=QI_ONE) -> RationalSection:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -226,8 +227,11 @@ def test_multinode_document_group_and_ob():
 
 
 def test_schema_roundtrip_fixed_point():
-    for name in ("two_line_ghost.json", "good_ex2.json", "bad_ex1.json",
-                 "mc_dep.json", "mc_issue_a3_d2.json", "two_line_collapsed.json"):
+    # the graph fixtures but the two whose vertices omit default fields
+    names = sorted(set(os.listdir(FIXTURES)) - {
+        "characters_good_ex2.json", "hyperplanes_n3_d4.json", "mc_issue_profile.json"})
+    assert len(names) == 12
+    for name in names:
         with open(fixture(name)) as fh:
             text = fh.read()
         graph, data, profile, characters, expect = schema.loads(text)
@@ -740,29 +744,129 @@ SWEEP_DIGEST = "66025fb555688171"
 SWEEP_CODES = {0: 687, 1: 51, 2: 351}
 
 
-def test_cli_sweep_matches_the_recorded_digest(monkeypatch):
+def _sweep_runs():
     """Every command on every fixture under each flag set, on two fixtures at
-    once and on a missing file, run in process from the repository root: one
-    digest over (argv, exit code, stdout) pins the table form, the flags and
-    multi-input runs that the goldens above leave out."""
-    monkeypatch.chdir(ROOT)
-    names = sorted(os.listdir("src/logmoduli/fixtures"))
+    once and on a missing file, as argvs relative to the repository root."""
+    names = sorted(os.listdir(os.path.join(ROOT, "src", "logmoduli", "fixtures")))
     paths = [f"src/logmoduli/fixtures/{name}" for name in names]
     runs = [[command, path, *flags]
             for command in sorted(cli._COMMANDS) for path in paths for flags in SWEEP_FLAGS]
     runs += [[command, path, paths[(i + 1) % len(paths)]]
              for command in sorted(cli._COMMANDS) for i, path in enumerate(paths)]
     runs += [[command, "src/logmoduli/fixtures/missing.json"] for command in sorted(cli._COMMANDS)]
+    assert (len(names), len(runs)) == (15, 1089)
+    return runs
+
+
+def test_cli_sweep_matches_the_recorded_digest(monkeypatch):
+    """The sweep run in process from the repository root: one digest over
+    (argv, exit code, stdout) pins the table form, the flags and multi-input
+    runs that the goldens above leave out."""
+    monkeypatch.chdir(ROOT)
     digest, codes = hashlib.sha256(), {}
-    for argv in runs:
+    for argv in _sweep_runs():
         out = io.StringIO()
         with redirect_stdout(out):
             code = cli.main(argv)
         digest.update(json.dumps([argv, code, out.getvalue()]).encode())
         codes[code] = codes.get(code, 0) + 1
-    assert (len(names), len(runs)) == (15, 1089)
     assert codes == SWEEP_CODES
     assert digest.hexdigest()[:16] == SWEEP_DIGEST
+
+
+# -- the canonical writer against json --------------------------------------------
+
+
+def _json_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+_CHARS = "aZ09 \"\\/'\x00\x01\x1f\x7f\xe9\u2028\ud800\U0001f600\t\n\r"
+_FLOATS = [0.0, -0.0, 1.5, -2.25, 1e300, 5e-324, 0.1, float("nan"), float("inf"), float("-inf")]
+
+
+def _random_json(rng, depth):
+    """A random JSON value: containers down to `depth`, then scalars."""
+    kind = rng.randrange(12 if depth > 0 else 6)  # 8 to 11 make a dict
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, 1, -1, 9, 10, 2 ** 64, -(3 ** 90), rng.randrange(-10 ** 6, 10 ** 6)])
+    if kind == 2:
+        return rng.choice(_FLOATS)
+    if kind == 3:
+        return rng.choice([True, False])
+    if kind == 4:
+        return None
+    if kind == 5:
+        return rng.choice(["", [], {}, ()])
+    items = [_random_json(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    # keys that sort among themselves: strings, or numbers and bools; None
+    # only as a lone key
+    keys = rng.choice([
+        lambda: "".join(rng.choice(_CHARS) for _ in range(rng.randrange(4))),
+        lambda: rng.choice([0, 1, 2, 9, 10, 11, -5, 2 ** 70, 1.5, -0.5, float("inf"), True,
+                            False]),
+    ])
+    out = {keys(): item for item in items}
+    if not out and rng.random() < 0.2:
+        out[None] = _random_json(rng, depth - 1)
+    return out
+
+
+def _dicts(value):
+    """The dicts in a JSON value, at any depth."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _dicts(item)
+
+
+def test_dumps_differential_on_random_json_trees():
+    rng = random.Random(20260519)
+    values = [_random_json(rng, rng.randrange(1, 6)) for _ in range(800)]
+    deep = "leaf"
+    for level in range(120):
+        deep = [deep, {}] if level % 2 else {str(level): deep, "": ()}
+    values.append(deep)
+    assert sum(len(d) > 1 for d in _dicts(values)) > 300  # many sorts to check
+    assert [v for v in values if schema.dumps(v) != _json_dumps(v)] == []
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, object(), b"bytes", 1j, [1, {"a": {2}}], {(1, 2): 0}, {1: 0, "a": 1},
+    {"a": 1, None: 2},
+])
+def test_dumps_differential_raises_what_json_raises(value):
+    with pytest.raises(TypeError) as expected:
+        _json_dumps(value)
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        schema.dumps(value)
+
+
+def test_dumps_differential_on_every_sweep_payload(monkeypatch):
+    """The sweep's JSON-format runs print every payload through
+    `schema.dumps`, each the text json writes."""
+    monkeypatch.chdir(ROOT)
+    write, payloads = schema.dumps, []
+
+    def checked(payload):
+        payloads.append(payload)
+        return write(payload)
+
+    monkeypatch.setattr(schema, "dumps", checked)
+    for argv in _sweep_runs():
+        with redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    # the 135 table runs print no JSON and the 135 two-input runs two payloads
+    assert len(payloads) == 1089
+    assert [p for p in payloads if write(p) != _json_dumps(p)] == []
 
 
 def test_readme_cli_section_documents_every_flag():

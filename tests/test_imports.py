@@ -26,13 +26,12 @@ EXPORTS = {
                "SizeCapError", "StructuralError"],
     "graphs": ["BUBBLE", "GHOST", "PRINCIPAL", "DecoratedDualGraph", "Edge", "Leg",
                "ValidationReport", "Vertex", "solve_decorations", "validate_graph"],
-    "lattice": ["CharacterBasis", "LatticeMap", "build_rho", "build_rho_multinode",
+    "lattice": ["CharacterBasis", "Characters", "LatticeMap", "build_rho", "build_rho_multinode",
                 "cokernel_characters", "kernel_lattice", "multinode_character_pullback",
                 "node_index"],
-    "obstruction": ["Characters", "CurveData", "GhostConfig", "ObstructionClass", "OV0Result",
-                    "canonical_characters", "collapse_ghost", "collapse_homomorphism",
-                    "compute_ob", "compute_ob_multinode", "compute_o_v0", "flip_edge",
-                    "relation_check"],
+    "obstruction": ["GhostConfig", "ObstructionClass", "OV0Result", "canonical_characters",
+                    "collapse_ghost", "collapse_homomorphism", "compute_ob",
+                    "compute_ob_multinode", "compute_o_v0", "flip_edge", "relation_check"],
     "dimension": ["DimensionReport", "cover_fiber_dim", "cover_replace_delta",
                   "dimension_report", "expected_dim_log", "gamma_stratum_dim",
                   "ghost_collapse_delta", "mc_fiber_dims", "plog_dim", "q_quantity",
@@ -42,8 +41,8 @@ EXPORTS = {
     "qi": ["GaussianRational", "qi_parse", "qi_str"],
     "rt": ["MapModel", "ReductionTrace", "classify_cluster", "rt_reduce",
            "verify_edge_invariant"],
-    "sections": ["INF", "P1Point", "RationalSection", "build_section", "leading_coefficient",
-                 "order_vector"],
+    "sections": ["INF", "CurveData", "P1Point", "RationalSection", "build_section",
+                 "leading_coefficient", "order_vector"],
     "tropical": ["ConeDescription", "TropicalResult", "TropicalWitness", "cone_sigma",
                  "feasible_by_fourier_motzkin", "tropical_feasible"],
 }
@@ -77,6 +76,20 @@ def test_validate_command_loads_no_analysis_module():
     imported = set(re.findall(r"\|\s*(logmoduli\.\w+)\s*$", proc.stderr, re.M))
     assert "logmoduli.graphs" in imported
     assert not {f"logmoduli.{m}" for m in ANALYSIS_ONLY} & imported
+
+
+def test_only_ob_and_report_load_the_obstruction_module():
+    # a document with a profile, on which all nine commands exit 0
+    path = os.path.join(FIXTURES, "mc_issue_profile.json")
+    loads = {}
+    for command in ("validate", "decorate", "group", "tropical", "dims", "positivity", "rt",
+                    "ob", "report"):
+        proc = _run("-X", "importtime", "-m", "logmoduli.cli", command, path)
+        assert json.loads(proc.stdout)["command"] == command
+        imported = set(re.findall(r"\|\s*(logmoduli\.\w+)\s*$", proc.stderr, re.M))
+        assert {"logmoduli.schema", "logmoduli.sections"} <= imported
+        loads[command] = "logmoduli.obstruction" in imported
+    assert [command for command, loaded in loads.items() if loaded] == ["ob", "report"]
 
 
 # the commands whose run never needs a Fraction: Q(i) arithmetic is on ints

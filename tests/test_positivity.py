@@ -164,6 +164,26 @@ def test_curve_family_refuses_non_integer_pairings():
         fam.delta_at(1)
 
 
+def test_curve_family_refuses_a_non_integer_multiplicity():
+    with pytest.raises(StructuralError, match=re.escape(
+            "family 'f' multiplicity entry 1.5 at position 0 is not an integer")):
+        lm.CurveFamily("f", (), 4, [1, -1], multiplicity=(1.5,))
+
+
+@pytest.mark.parametrize("delta", [2.5, True, "linear", ("linear",), ("linear", 1, 2)])
+def test_curve_family_refuses_a_delta_of_another_form(delta):
+    with pytest.raises(StructuralError, match=re.escape(
+            f"family 'f': delta must be None, an integer or a (tag, weight) pair, got {delta!r}")):
+        lm.CurveFamily("f", (), 4, [1, -1], delta=delta)
+
+
+def test_curve_family_delta_with_another_tag_is_undecided():
+    fam = lm.CurveFamily("f", (), 4, [1, -1], delta=["quadratic", 2])
+    assert fam.delta == ("quadratic", 2)
+    with pytest.raises(InputError, match="unsupported delta form"):
+        fam.delta_at(1)
+
+
 def test_geometry_profile_refuses_non_integer_n_and_N():
     with pytest.raises(StructuralError, match=re.escape(
             "profile entry 2.5 at n is not an integer")):
