@@ -28,8 +28,12 @@ _INT = frozenset((int,))
 def int_entries(entries, what, at="position {}") -> tuple:
     """entries as a tuple of ints; an entry of any other type raises a
     StructuralError naming `what` and the entry's place: `at` formatted
-    with its index, or its name when `at` is a tuple of names."""
-    entries = tuple(entries)
+    with its index, or its name when `at` is a tuple of names.  entries
+    that are not iterable raise one naming `what`."""
+    try:
+        entries = tuple(entries)
+    except TypeError:
+        raise StructuralError(f"{what} must be a sequence of integers, got {entries!r}") from None
     if not _INT.issuperset(map(type, entries)):
         i, x = next((i, x) for i, x in enumerate(entries) if type(x) is not int)
         place = at[i] if isinstance(at, tuple) else at.format(i)

@@ -25,10 +25,13 @@ not every pivot row.  A caller that keeps M as sparse rows (a lattice map
 again) takes its left kernel from them through `_left_null_space`, which
 transposes in one pass over the nonzeros.
 The Smith normal form has no elimination of its own: it starts from any
-echelon form of the matrix, its columns in any order, reduced above its
-pivots, and alternates the Hermite form of the matrix and of its transpose
-until the matrix is diagonal (Kannan and Bachem 1979), then turns the
-diagonal into a divisibility chain.  Every answer is canonical (the rank,
+echelon form of the matrix with positive pivots, its columns in any order,
+and only reads it.  The rows whose pivot is 1 each give an invariant factor
+1 and are split off; the other rows, cleared at the unit-pivot columns,
+form a block, and only that block alternates the Hermite form of the
+matrix and of its transpose until it is diagonal (Kannan and Bachem 1979),
+then its diagonal becomes a divisibility chain.  Most pivots of a lattice
+map are 1, so the block is small.  Every answer is canonical (the rank,
 the HNF, the HNF-canonical kernels and the invariant factors), so it does
 not depend on which pivot breaks a tie.
 `hnf_row` keeps the dense, U-certified elimination as the reference the
@@ -392,32 +395,50 @@ def _clear_mod(live, j, d):
 
 def smith_normal_form(m):
     """Diagonal invariant factors d_1 | d_2 | ... of M (nonzero ones only)."""
-    return _smith(_hnf_rows(_sparse(m), _width(m)))
+    return _smith(_echelon(_sparse(m), _width(m)))
 
 
 def _smith(h):
-    """`smith_normal_form` of M from the nonzero rows h of a row HNF of M,
-    its columns in any order; h is only read.
+    """`smith_normal_form` of M from the nonzero rows h of a row echelon form
+    of M with positive pivots, its columns in any order; h is only read.
 
-    Alternating Hermite forms (Kannan and Bachem 1979): h, then the nonzero
-    rows of the HNF of its transpose, and so on until the matrix is
-    diagonal, that is until row i is exactly {i: v}; permuting columns and
-    both steps keep the Smith form.  Pairwise (gcd, lcm) steps then turn
-    the diagonal entries other than 1 into a divisibility chain, which the
-    1s precede.
+    The rows whose pivot is 1 are set aside.  Each other row is copied and
+    cleared at the unit-pivot columns it holds, left to right, by
+    subtracting that unit row: a unit row has entries only right of its
+    pivot, so a cleared column is never refilled.  Each unit-pivot column
+    then holds one nonzero, its unit row's pivot, and column operations
+    reduce the unit rows to unit vectors without touching the cleared rows,
+    so SNF(h) is one 1 per unit row followed by the SNF of the block of
+    cleared rows.  The block is diagonalised by alternating Hermite forms
+    (Kannan and Bachem 1979): the nonzero rows of the HNF of its transpose,
+    then of that one's transpose, and so on until row i is exactly {i: v};
+    transposing and row operations keep the Smith form.  Pairwise
+    (gcd, lcm) steps then turn the diagonal entries other than 1 into a
+    divisibility chain, which the 1s precede.
     """
-    while not all(len(row) == 1 and i in row for i, row in enumerate(h)):
+    units, block = {}, []
+    for row in h:
+        p = min(row)
+        if row[p] == 1:
+            units[p] = row
+        else:
+            block.append(dict(row))
+    for row in block:
+        while held := [j for j in row if j in units]:
+            c = min(held)
+            _sub(row, row[c], units[c])
+    while not all(len(row) == 1 and i in row for i, row in enumerate(block)):
         t = {}
-        for i, row in enumerate(h):
+        for i, row in enumerate(block):
             for j, x in row.items():
                 t.setdefault(j, {})[i] = x
-        h = _hnf_rows(list(t.values()), len(h))
-    diag = [row[i] for i, row in enumerate(h)]
+        block = _hnf_rows(list(t.values()), len(block))
+    diag = [row[i] for i, row in enumerate(block)]
     chain = [x for x in diag if x != 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
-    return [1] * (len(diag) - len(chain)) + chain
+    return [1] * (len(units) + len(diag) - len(chain)) + chain
 
 
 def lattices_equal(a, b) -> bool:

@@ -169,8 +169,7 @@ class LatticeMap:
 
     def invariant_factors(self):
         if self._invariant_factors is None:
-            hnf = il._reduce_above([dict(row) for row in self._rows()])
-            self._invariant_factors = tuple(il._smith(hnf))
+            self._invariant_factors = tuple(il._smith(self._rows()))
         return self._invariant_factors
 
 

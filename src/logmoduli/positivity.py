@@ -40,6 +40,8 @@ class CurveFamily:
         if not (delta is None or type(delta) is int or type(delta) is tuple and len(delta) == 2):
             raise StructuralError(f"family {self.label!r}: delta must be None, an integer or a "
                                   f"(tag, weight) pair, got {delta!r}")
+        if type(delta) is tuple and delta[0] == "linear":
+            int_entries(delta[1:], f"family {self.label!r}", ("linear delta weight",))
         object.__setattr__(self, "delta", delta)
 
     @property
@@ -54,7 +56,7 @@ class CurveFamily:
         tag, w = self.delta
         if tag != "linear":
             raise InputError("cannot decide symbolically: unsupported delta form; enumerate")
-        return m * int_entries((w,), f"family {self.label!r}", ("linear delta weight",))[0]
+        return m * w
 
 
 @dataclass(frozen=True)

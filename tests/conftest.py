@@ -280,6 +280,26 @@ def zero_class_graph(stratum, shape="tree", k=3):
 # ---------------------------------------------------------------------------
 
 
+def graph_like_matrices():
+    """Seeded matrices shaped like the lattice maps of dual graphs: two or
+    three nonzeros per row, 10 to 60 columns, some zero rows and some zero
+    columns, tall and wide."""
+    rng = random.Random(20261019)
+    out = []
+    for tall in [True, False] * 15:
+        cols = rng.randint(10, 60)
+        rows = cols + rng.randint(1, 30) if tall else rng.randint(5, cols - 1)
+        used = rng.sample(range(cols), cols - rng.randint(1, 3))  # the rest stay zero
+        m = [[0] * cols for _ in range(rows)]
+        for row in m:
+            if rng.random() < 0.1:
+                continue  # a zero row
+            for j in rng.sample(used, rng.randint(2, 3)):
+                row[j] = rng.choice([1, -1, 1, -1, 2, -2, 3, 4])
+        out.append(m)
+    return out
+
+
 def random_balanced_graph(rng: random.Random, max_vertices=5, N_max=3, cyclic=False):
     """A valid decorated graph with nested strata along a random tree; edge
     contacts drawn first, vertex pairings set to balance."""

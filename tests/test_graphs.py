@@ -100,6 +100,20 @@ def test_leg_refuses_non_integer_contact_entries():
         lm.Leg("z", "a", contact=(0.9,))
 
 
+def test_constructors_refuse_a_scalar_where_integer_entries_go():
+    cases = [
+        ("vertex 'a' degrees", lambda: lm.Vertex("a", degrees=3)),
+        ("edge 'e' contact", lambda: lm.Edge("e", ["a", "b"], stratum=(1,), contact=3)),
+        ("leg 'l' contact", lambda: lm.Leg("l", "a", contact=3)),
+        ("family 'f' dot", lambda: lm.CurveFamily("f", (), 4, 3)),
+        ("family 'f' multiplicity", lambda: lm.CurveFamily("f", (), 4, [1, -1], multiplicity=3)),
+    ]
+    for what, build in cases:
+        with pytest.raises(StructuralError, match=re.escape(
+                f"{what} must be a sequence of integers, got 3")):
+            build()
+
+
 def test_graph_refuses_non_integer_N_and_n():
     v = lm.Vertex("a", degrees=(0, 0))
     with pytest.raises(StructuralError, match=re.escape("graph N = 2.9 is not an integer")):

@@ -1,8 +1,14 @@
+import os
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
 from logmoduli import intlinalg as il
+from logmoduli.lattice import LatticeMap, build_rho
+
+from conftest import graph_like_matrices
+
+BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench")
 
 
 def _rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -267,3 +273,106 @@ def test_null_space_differential_against_the_every_pivot_walk():
             seen["denominator grows"] += any(den > 1 for den in dens)
             assert public(m) == _null_space_every_pivot(h, width), m
     assert min(seen.values()) >= 100, seen
+
+
+# -- the Smith form by alternation on all of M, kept as a reference ----------
+
+def _smith_full_alternation(m):
+    """Invariant factors of M from its whole row HNF, as `il._smith` took
+    them before it split off the unit pivots: the echelon form reduced above
+    its pivots, Hermite forms of it and its transposes alternated until it
+    is diagonal, then the diagonal turned into a divisibility chain."""
+    h = il._reduce_above(il._echelon(il._sparse(m), il._width(m)))
+    while not all(len(row) == 1 and i in row for i, row in enumerate(h)):
+        t = {}
+        for i, row in enumerate(h):
+            for j, x in row.items():
+                t.setdefault(j, {})[i] = x
+        h = il._hnf_rows(list(t.values()), len(h))
+    diag = [row[i] for i, row in enumerate(h)]
+    chain = [x for x in diag if x != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
+    return [1] * (len(diag) - len(chain)) + chain
+
+
+def _smith_matrices():
+    """3000 seeded matrices up to 10 x 10 whose echelon forms mix unit and
+    non-unit pivots: entries drawn mostly from +-1 with some 2, 3, 4 and 6,
+    half of them zero, a zero row in a fifth and a zero column in a third
+    of them, and the empty shapes among them."""
+    rng = random.Random(20261020)
+    out = []
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+        zero = rng.randrange(cols) if cols and rng.random() < 0.35 else None
+        m = [[rng.choice([1, -1, 1, -1, 2, -2, 3, -4, 6]) if j != zero and rng.random() < 0.5
+              else 0 for j in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.2:
+            m[rng.randrange(rows)] = [0] * cols
+        out.append(m)
+    return out
+
+
+def _pivot_kinds(h):
+    units = sum(row[min(row)] == 1 for row in h)
+    return units, len(h) - units
+
+
+def test_smith_differential_against_the_full_alternation():
+    """`smith_normal_form`, which diagonalises only the rows left after the
+    unit pivots are split off, equals the alternation on the whole HNF on
+    every seeded matrix, and `il._smith` leaves the echelon rows it reads
+    unchanged; the sample covers each case the split distinguishes."""
+    seen = {"empty": 0, "only unit pivots": 0, "no unit pivot": 0, "mixed pivots": 0,
+            "zero row": 0, "zero column": 0}
+    for m in _smith_matrices():
+        cols = len(m[0]) if m else 0
+        h = il._echelon(il._sparse(m), cols)
+        before = [dict(row) for row in h]
+        units, others = _pivot_kinds(h)
+        seen["empty"] += not h
+        seen["only unit pivots"] += units > 0 and not others
+        seen["no unit pivot"] += others > 0 and not units
+        seen["mixed pivots"] += units > 0 and others > 0
+        seen["zero row"] += any(not any(row) for row in m)
+        seen["zero column"] += bool(m) and any(not any(col) for col in zip(*m))
+        expected = _smith_full_alternation(m)
+        assert il.smith_normal_form(m) == expected, m
+        assert il._smith(h) == expected, m
+        assert h == before, m
+    assert min(seen.values()) >= 100, seen
+
+
+def _graph_like_and_ladder_maps(monkeypatch):
+    """The maps of the oracle's graph-like matrices, then the maps of cyclic
+    and tree ladder graphs from nv = 4 to 24, drawn as the benchmark draws
+    its lattice pool."""
+    for m in graph_like_matrices():
+        yield LatticeMap(m, range(len(m[0])), range(len(m)))
+    monkeypatch.syspath_prepend(BENCH)
+    import gen
+    for family in ("cycle", "tree"):
+        for nv in range(4, 25):
+            graph = gen.ladder_graph(gen.pool_rng("lattice", family, nv, 0), nv, family == "cycle")
+            yield build_rho(graph)
+
+
+def test_invariant_factors_differential_on_graph_like_and_ladder_maps(monkeypatch):
+    """On graph-like matrices and ladder maps, `smith_normal_form` and
+    `LatticeMap.invariant_factors` equal the alternation on the whole HNF,
+    and the map's kept echelon form is the same before and after."""
+    count = mixed = 0
+    for lmap in _graph_like_and_ladder_maps(monkeypatch):
+        m = lmap.matrix
+        expected = _smith_full_alternation(m)
+        assert il.smith_normal_form(m) == expected, m
+        before = [dict(row) for row in lmap._rows()]
+        assert list(lmap.invariant_factors()) == expected, m
+        assert lmap._rows() == before, m
+        units, others = _pivot_kinds(before)
+        count += 1
+        mixed += units > 0 and others > 0
+    assert count == 30 + 2 * 21
+    assert mixed >= 60

@@ -78,7 +78,9 @@ def test_cycle_rich_group_data_at_scale():
 
 def test_invariant_factors_at_scale():
     """nv = 160 gives a 699 x 572 map; the elimination Smith form took about
-    7 s on it, alternating Hermite forms take well under a second."""
+    7 s on it and alternating Hermite forms on its whole echelon form about
+    0.03 s.  507 of the 547 pivots are 1, so splitting them off leaves a
+    40-row block to alternate on, and the call takes about 0.001 s."""
     rho = lm.build_rho(random_cycle_rich_graph(random.Random(12), 160))
     assert (rho.n_rows, rho.n_cols) == (699, 572)
     start = time.perf_counter()

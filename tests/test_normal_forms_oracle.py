@@ -13,6 +13,8 @@ import pytest
 from logmoduli import intlinalg as il
 from logmoduli.lattice import LatticeMap
 
+from conftest import graph_like_matrices
+
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
@@ -47,27 +49,7 @@ def _matrices():
 MATRICES = _matrices()
 
 
-def _graph_like_matrices():
-    """Seeded matrices shaped like the lattice maps of dual graphs: two or
-    three nonzeros per row, 10 to 60 columns, some zero rows and some zero
-    columns, tall and wide."""
-    rng = random.Random(20261019)
-    out = []
-    for tall in [True, False] * 15:
-        cols = rng.randint(10, 60)
-        rows = cols + rng.randint(1, 30) if tall else rng.randint(5, cols - 1)
-        used = rng.sample(range(cols), cols - rng.randint(1, 3))  # the rest stay zero
-        m = [[0] * cols for _ in range(rows)]
-        for row in m:
-            if rng.random() < 0.1:
-                continue  # a zero row
-            for j in rng.sample(used, rng.randint(2, 3)):
-                row[j] = rng.choice([1, -1, 1, -1, 2, -2, 3, 4])
-        out.append(m)
-    return out
-
-
-GRAPH_LIKE = _graph_like_matrices()
+GRAPH_LIKE = graph_like_matrices()
 
 
 def _nonzero(rows):

@@ -158,10 +158,9 @@ def test_curve_family_refuses_non_integer_pairings():
     with pytest.raises(StructuralError, match=re.escape(
             "family 'f' entry 4.5 at c1_tx is not an integer")):
         lm.CurveFamily("f", (), 4.5, [1, 1])
-    fam = lm.CurveFamily("f", (), 4, [1, 1], delta=("linear", 1.9))
     with pytest.raises(StructuralError, match=re.escape(
             "family 'f' entry 1.9 at linear delta weight is not an integer")):
-        fam.delta_at(1)
+        lm.CurveFamily("f", (), 4, [1, 1], delta=("linear", 1.9))
 
 
 def test_curve_family_refuses_a_non_integer_multiplicity():
