@@ -42,8 +42,13 @@ def int_entries(entries, what, at="position {}") -> tuple:
 
 
 def int_rows(rows, what) -> tuple:
-    """rows as tuples of ints, checked as `int_entries` checks one row."""
-    rows = tuple(map(tuple, rows))
+    """rows as tuples of ints, checked as `int_entries` checks one row; a
+    scalar where the rows or a row belong raises a StructuralError naming
+    `what`."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise StructuralError(f"{what} must be a sequence of rows of integers, got {rows!r}") from None
     if not _INT.issuperset(map(type, itertools.chain.from_iterable(rows))):
         for r, row in enumerate(rows):
             int_entries(row, what, f"row {r}, column {{}}")

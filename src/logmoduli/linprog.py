@@ -2,13 +2,14 @@
 
 The simplex uses Bland's rule so it terminates on every input, and
 infeasibility comes with a Farkas certificate that can be verified
-independently.  Its tableau is fraction-free: each row is a list of Python
-ints over one positive row denominator, divided by gcd(denominator, *row)
-after every change, so a row is the unique such representation of its
-rational values.  The sign tests read the integers, the ratio test
+independently.  Its tableau is fraction-free: each row is a primitive
+integer vector (coprime entries) that is positive at its basic column, and
+that entry is the row's denominator, so a row is the unique such
+representation of its rational values.  The objective row is basic in a
+column of its own.  The sign tests read the integers, the ratio test
 cross-multiplies, and only the returned point and certificate are built as
 Fractions; the pivots are therefore exactly those of a Fraction tableau.
-Fourier-Motzkin works on primitive integer rows.
+Fourier-Motzkin works on primitive integer rows too.
 """
 
 from __future__ import annotations
@@ -40,36 +41,34 @@ def solve_eq_nonneg(a, b) -> Feasibility:
     if m == 0:
         return Feasibility(True, tuple())
     n = len(a[0])
-    # tableau rows as integers over a positive row denominator; columns
-    # 0..n-1 original, n..n+m-1 artificial, last = rhs, rows flipped to
-    # make b >= 0; row m is the objective, the sum of the artificials,
-    # whose reduced costs start as the sum of the rows
-    rows, dens = [], []
+    # primitive integer tableau rows; columns 0..n-1 original, n..n+m-1
+    # artificial, z = n+m the objective's, last = rhs, rows flipped to make
+    # b >= 0; row m is the objective, the sum of the artificials, whose
+    # reduced costs start as the sum of the rows
+    z = n + m
+    rows = []
     for i in range(m):
         nums, den = _integer_row([*a[i], b[i]])
         if nums[-1] < 0:
             nums = [-x for x in nums]
-        artificial = [0] * m
+        artificial = [0] * (m + 1)
         artificial[i] = den
         rows.append(nums[:-1] + artificial + nums[-1:])
-        dens.append(den)
-    obj_den = lcm(*dens)
-    obj = [0] * (n + m + 1)
-    for row, den in zip(rows, dens):
-        f = obj_den // den
+    scale = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    obj = [0] * (z + 2)
+    for i, row in enumerate(rows):
+        f = scale // row[n + i]
         for j, x in enumerate(row):
             if x:
                 obj[j] += f * x
-    obj[n:n + m] = [0] * m  # the artificial columns cancel
-    rows.append(obj)
-    dens.append(obj_den)
-    _reduce(rows, dens, m)
-    basis = [n + i for i in range(m)]
+    obj[n:z + 1] = [0] * m + [scale]  # the artificial columns cancel; z is basic
+    rows.append(_primitive(obj))
+    basis = [n + i for i in range(m)] + [z]
 
     while True:
         # Bland: smallest index with positive reduced cost (maximizing -sum)
         obj = rows[m]
-        col = next((j for j in range(n + m) if obj[j] > 0), None)
+        col = next((j for j in range(z) if obj[j] > 0), None)
         if col is None:
             break
         # ratio test rhs_i / p_i (the row denominators cancel), Bland
@@ -84,22 +83,22 @@ def solve_eq_nonneg(a, b) -> Feasibility:
                     best, best_rhs, best_p = i, rhs, p
         if best is None:
             break  # unbounded phase-1 cannot happen; safety
-        _pivot(rows, dens, best, col)
+        _pivot(rows, basis, best, col)
         basis[best] = col
 
-    obj, obj_den = rows[m], dens[m]
+    obj = rows[m]
     if obj[-1] != 0:
         # infeasible: certificate from the objective row's equation multipliers.
         # obj started as sum of rows; pivots keep obj = y0^T(original rows) + const
         # recover y via artificial columns: obj coefficient of artificial i is
         # y_i - 1 (it began at 0 and each row i was added once).
-        return Feasibility(False, None, tuple(Fraction(obj[n + i] + obj_den, obj_den)
+        return Feasibility(False, None, tuple(Fraction(obj[n + i] + obj[z], obj[z])
                                               for i in range(m)))
     # read off solution; artificials still basic are at zero
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            x[bv] = Fraction(rows[i][-1], dens[i])
+            x[bv] = Fraction(rows[i][-1], rows[i][bv])
     return Feasibility(True, tuple(x))
 
 
@@ -113,35 +112,21 @@ def _integer_row(values):
     return [q.numerator * (den // q.denominator) for q in qs], den
 
 
-def _reduce(rows, dens, k):
-    """Divide row k and its denominator by gcd(den, *row)."""
-    den = dens[k]
-    if den == 1:
-        return
-    g = gcd(den, *rows[k])
-    if g > 1:
-        rows[k] = [x // g for x in rows[k]]
-        dens[k] = den // g
-
-
-def _pivot(rows, dens, r, col):
+def _pivot(rows, basis, r, col):
     """Pivot the integer tableau on row r, column col, where rows[r][col] > 0.
 
-    Row r becomes its own integers over the denominator rows[r][col], and
-    every other row with a nonzero entry t/d in col becomes
-    (row * p - t * prow) / (d * p), with the pivot row prow over p and the
-    factor gcd(t, p) taken out first.  Each changed row is then reduced,
-    so every row stays the unique representation of its rational values
-    and the entries stay as small as the values allow.
+    Row r is left as it is: it is primitive, and its entry p in col
+    becomes its denominator.  Every other row with a nonzero entry t in
+    col becomes row * p - t * rows[r], with the factor gcd(t, p) taken out
+    first, and is then divided by the gcd of its entries unless its basic
+    entry (its column in basis) is 1.  So every row stays the unique
+    representation of its rational values and the entries stay as small as
+    the values allow.
     """
     prow = rows[r]
-    g = gcd(*prow)
-    if g > 1:
-        prow = [x // g for x in prow]
     p = prow[col]
-    rows[r], dens[r] = prow, p
-    # zero entries of the pivot row leave the numerators of other rows as
-    # they are, up to the common scale
+    # zero entries of the pivot row leave the other rows as they are, up
+    # to the common scale
     nonzero = [(j, x) for j, x in enumerate(prow) if x]
     for k, row in enumerate(rows):
         t = row[col]
@@ -151,11 +136,9 @@ def _pivot(rows, dens, r, col):
         scale, t = p // g, t // g
         if scale != 1:
             row = [x * scale for x in row]
-            dens[k] *= scale
         for j, x in nonzero:
             row[j] -= t * x
-        rows[k] = row
-        _reduce(rows, dens, k)
+        rows[k] = row if row[basis[k]] == 1 else _primitive(row)
 
 
 def feasible_eq_lower(a, b, lower) -> Feasibility:
@@ -202,7 +185,7 @@ def fourier_motzkin(ineqs, n) -> bool:
     is implied by the others and dropped.  More than _FM_ROW_CAP rows at
     once raise SizeCapError.
     """
-    rows = [(_primitive(_integer_row(r)[0]), frozenset((k,))) for k, r in enumerate(ineqs)]
+    rows = [(tuple(_primitive(_integer_row(r)[0])), frozenset((k,))) for k, r in enumerate(ineqs)]
     for var in range(n):
         pos, neg, new_rows = [], [], []
         for r, origin in rows:
@@ -222,7 +205,7 @@ def fourier_motzkin(ineqs, n) -> bool:
                 mu = p[var]
                 comb = [lam * a + mu * b for a, b in zip(p, q)]
                 comb[var] = 0
-                new_rows.append((_primitive(comb), origin))
+                new_rows.append((tuple(_primitive(comb)), origin))
                 if len(new_rows) > _FM_ROW_CAP:
                     raise SizeCapError(f"fourier-motzkin capped at {_FM_ROW_CAP} rows")
         rows = _dedupe(new_rows)
@@ -230,9 +213,9 @@ def fourier_motzkin(ineqs, n) -> bool:
 
 
 def _primitive(row):
-    """The integer row divided by the gcd of its entries (a zero row as is)."""
+    """The integer list divided by the gcd of its entries (a zero row as is)."""
     g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _dedupe(rows):

@@ -101,16 +101,21 @@ def test_leg_refuses_non_integer_contact_entries():
 
 
 def test_constructors_refuse_a_scalar_where_integer_entries_go():
+    entries, rows = "a sequence of integers", "a sequence of rows of integers"
     cases = [
-        ("vertex 'a' degrees", lambda: lm.Vertex("a", degrees=3)),
-        ("edge 'e' contact", lambda: lm.Edge("e", ["a", "b"], stratum=(1,), contact=3)),
-        ("leg 'l' contact", lambda: lm.Leg("l", "a", contact=3)),
-        ("family 'f' dot", lambda: lm.CurveFamily("f", (), 4, 3)),
-        ("family 'f' multiplicity", lambda: lm.CurveFamily("f", (), 4, [1, -1], multiplicity=3)),
+        ("vertex 'a' degrees", entries, 3, lambda: lm.Vertex("a", degrees=3)),
+        ("edge 'e' contact", entries, 3, lambda: lm.Edge("e", ["a", "b"], stratum=(1,), contact=3)),
+        ("leg 'l' contact", entries, 3, lambda: lm.Leg("l", "a", contact=3)),
+        ("family 'f' dot", entries, 3, lambda: lm.CurveFamily("f", (), 4, 3)),
+        ("family 'f' multiplicity", entries, 3,
+         lambda: lm.CurveFamily("f", (), 4, [1, -1], multiplicity=3)),
+        ("edge 'm' contacts", rows, 3, lambda: lm.Edge("m", ("a", "b", "c"), contacts=3)),
+        ("edge 'm' contacts", rows, [3], lambda: lm.Edge("m", ("a", "b", "c"), contacts=[3])),
+        ("matrix", rows, 5, lambda: lm.LatticeMap(5, ["a"], ["x"])),
+        ("character", rows, 5, lambda: lm.Characters(5, ["a"])),
     ]
-    for what, build in cases:
-        with pytest.raises(StructuralError, match=re.escape(
-                f"{what} must be a sequence of integers, got 3")):
+    for what, kind, value, build in cases:
+        with pytest.raises(StructuralError, match=re.escape(f"{what} must be {kind}, got {value!r}")):
             build()
 
 

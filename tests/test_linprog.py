@@ -1,5 +1,6 @@
 """The phase-1 simplex against a dense reference with the same pivot rule."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -103,13 +104,18 @@ def test_integer_rows_match_dense_reference_on_fraction_systems():
         assert linprog.solve_eq_nonneg(a, b) == dense_solve_eq_nonneg(a, b)
 
 
-def test_sparse_pivots_match_dense_reference_on_tropical_systems():
+def _tropical_graphs():
     rng = random.Random(7)
     graphs = [random_balanced_graph(rng, max_vertices=6, cyclic=True) for _ in range(40)]
     graphs += [random_cycle_rich_graph(rng, nv) for nv in (4, 6, 8)]
     graphs += [random_cycle_rich_graph(rng, nv) for nv in (10, 16, 20)]
     # the dense reference takes seconds on feasible systems past nv = 10
     graphs.append(random_cycle_rich_graph(rng, 10, feasible=True))
+    return graphs
+
+
+def test_sparse_pivots_match_dense_reference_on_tropical_systems():
+    graphs = _tropical_graphs()
     feasible = 0
     for g in graphs:
         a, b = _tropical_system(g)
@@ -120,15 +126,16 @@ def test_sparse_pivots_match_dense_reference_on_tropical_systems():
 
 
 def test_tableau_entries_stay_within_64_bits(monkeypatch):
-    """Every pivot divides the rows it changes by their gcd with the row
-    denominator; the entries of this system then peak at 21 bits, and
-    without that step they pass 64 bits about 50 pivots before the end."""
+    """Every pivot divides the rows it changes by the gcd of their entries,
+    row denominators included; the entries of this system then peak at 21
+    bits, and without that step they pass 64 bits about 50 pivots before
+    the end."""
     pivot = linprog._pivot
     pivots = []
 
-    def bounded_pivot(rows, dens, r, col):
-        pivot(rows, dens, r, col)
-        bits = max(abs(x).bit_length() for row in (*rows, dens) for x in row)
+    def bounded_pivot(rows, basis, r, col):
+        pivot(rows, basis, r, col)
+        bits = max(abs(x).bit_length() for row in rows for x in row)
         assert bits <= 64, f"pivot {len(pivots) + 1}: a {bits}-bit tableau entry"
         pivots.append(bits)
 
@@ -136,4 +143,25 @@ def test_tableau_entries_stay_within_64_bits(monkeypatch):
     graph = random_cycle_rich_graph(random.Random(12), 20, feasible=True)
     res = lm.tropical_feasible(graph)
     assert res.feasible and res.witness.check(graph)
+    assert len(pivots) > 100
+
+
+def test_every_pivot_keeps_the_rows_primitive_and_positive_at_their_basic_column(monkeypatch):
+    """The tableau invariant: after each pivot every row, the objective
+    row included, has coprime entries and a positive entry at its basic
+    column, the row's denominator; row r is basic at col from then on."""
+    pivot = linprog._pivot
+    pivots = []
+
+    def checked_pivot(rows, basis, r, col):
+        pivot(rows, basis, r, col)
+        assert len(basis) == len(rows)
+        for k, row in enumerate(rows):
+            assert math.gcd(*row) == 1, f"pivot {len(pivots) + 1}: row {k} is not primitive"
+            assert row[col if k == r else basis[k]] > 0, f"pivot {len(pivots) + 1}: row {k}"
+        pivots.append((r, col))
+
+    monkeypatch.setattr(linprog, "_pivot", checked_pivot)
+    for g in _tropical_graphs():
+        linprog.solve_eq_nonneg(*_tropical_system(g))
     assert len(pivots) > 100

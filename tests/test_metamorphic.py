@@ -6,12 +6,18 @@ and columns of rho, and so which pivots of its echelon form are units;
 flipping an edge negates its contact and swaps its ends.  Neither changes
 the rank of rho, the ranks of its kernel and cokernel, or its invariant
 factors.
+
+Then the tropical condition.  Both transforms keep the solution set of the
+node equations up to a permutation and the signs of their rows, so they
+keep `tropical_feasible`'s verdict; its witness or its certificate is
+checked on the transformed graph's own equations.
 """
 
 import dataclasses
 import random
 
 import logmoduli as lm
+from logmoduli import linprog, tropical
 
 from conftest import random_balanced_graph, random_cycle_rich_graph
 
@@ -75,3 +81,39 @@ def test_lattice_pool_invariant_under_edge_flips():
         flipped += transformed.edges != graph.edges
         assert _lattice_answers(transformed) == _lattice_answers(graph), graph
     assert flipped >= 150
+
+
+def _tropical_verdict(graph):
+    """tropical_feasible's verdict, once its witness passes
+    `TropicalWitness.check` or its certificate passes `verify_farkas` on
+    the graph's equations with b = -A.1 (x >= 1 shifted to x >= 0)."""
+    res = lm.tropical_feasible(graph)
+    if res.feasible:
+        assert res.witness.check(graph), graph
+    else:
+        _, rows, labels = tropical._system(graph)
+        y = [res.certificate.get(label, 0) for label in labels]
+        assert linprog.verify_farkas(rows, [-sum(row) for row in rows], y), graph
+    return res.feasible
+
+
+def test_tropical_pool_verdict_invariant_under_renaming():
+    rng = random.Random(3)
+    pool = _pool()
+    feasible = 0
+    for graph in pool:
+        verdict = _tropical_verdict(graph)
+        assert _tropical_verdict(_renamed(graph, rng)) == verdict, graph
+        feasible += verdict
+    assert 0 < feasible < len(pool)  # both verdicts are exercised
+
+
+def test_tropical_pool_verdict_invariant_under_edge_flips():
+    rng = random.Random(4)
+    pool = _pool()
+    feasible = 0
+    for graph in pool:
+        verdict = _tropical_verdict(graph)
+        assert _tropical_verdict(_half_flipped(graph, rng)) == verdict, graph
+        feasible += verdict
+    assert 0 < feasible < len(pool)
