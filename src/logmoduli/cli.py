@@ -5,7 +5,9 @@ rt | report.  Output is canonical JSON by default or an aligned text table
 with --format table.  Exit codes: 0 computed, 1 invariant violation found
 (in the input, or an internal inconsistency of the program), 2 input error.
 Each run_<command> returns a body and an exit code; main (and report, for
-its parts) adds the command and input every payload carries.
+its parts) adds the command and input every payload carries.  A record in
+a body (a violation, a witness, the cone, the dimension report) prints a
+copy of its dataclass fields.
 """
 
 from __future__ import annotations
@@ -42,10 +44,7 @@ def run_validate(path, doc, args):
     report = validate_graph(graph, multinode_allowed=args.multinode)
     return {
         "valid": report.valid,
-        "violations": [
-            {"code": v.code, "element": v.element, "message": v.message}
-            for v in report.violations
-        ],
+        "violations": [dict(vars(v)) for v in report.violations],
     }, EXIT_OK if report.valid else EXIT_VIOLATION
 
 
@@ -78,12 +77,7 @@ def run_tropical(path, doc, args):
     if res.certificate:
         body["certificate"] = {f"{e}:{i}": str(y) for (e, i), y in sorted(res.certificate.items())}
     if args.cone:
-        cone = cone_sigma(graph)
-        body["cone"] = {
-            "dimension": cone.dimension,
-            "rays": [list(r) for r in cone.rays],
-            "is_strictly_convex": cone.is_strictly_convex,
-        }
+        body["cone"] = dict(vars(cone_sigma(graph)))
     return body, EXIT_OK
 
 
@@ -142,18 +136,7 @@ def run_dims(path, doc, args):
 
     graph, _, _, _, expect = doc
     cover = (expect or {}).get("cover")
-    rep = dimension_report(graph, cover)
-    return {
-        "d_log": rep.d_log,
-        "d_stratum": rep.d_stratum,
-        "q_value": rep.q_value,
-        "q_bound": rep.q_bound,
-        "kernel_rank": rep.kernel_rank,
-        "cokernel_rank": rep.cokernel_rank,
-        "d_fiber": rep.d_fiber,
-        "d_down": rep.d_down,
-        "d_up": rep.d_up,
-    }, EXIT_OK
+    return dict(vars(dimension_report(graph, cover))), EXIT_OK
 
 
 def run_positivity(path, doc, args):
@@ -170,11 +153,7 @@ def run_positivity(path, doc, args):
         "strongly_semi_positive": cls.strongly_semi_positive,
         "strongly_positive": cls.strongly_positive,
         "delta_defaulted": cls.delta_defaulted,
-        "witnesses": [
-            {"family": w.family, "stratum": list(w.stratum),
-             "multiplicity": w.multiplicity, "condition": w.condition}
-            for w in cls.witnesses
-        ],
+        "witnesses": [dict(vars(w)) for w in cls.witnesses],
     }, EXIT_OK
 
 
@@ -252,7 +231,7 @@ def _format_table(payload, out):
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             out.write(f"{prefix:<40} {json.dumps(value, sort_keys=True)}\n")
         else:
             out.write(f"{prefix:<40} {value}\n")

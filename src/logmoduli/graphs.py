@@ -55,6 +55,17 @@ def int_rows(rows, what) -> tuple:
     return rows
 
 
+def int_set(entries, what) -> frozenset:
+    """entries as a frozenset of ints, checked as `int_entries` checks
+    them.  A set is checked in the order of its entries' reprs, so the
+    entry an error names does not hang on hash order."""
+    if isinstance(entries, (set, frozenset)):
+        if _INT.issuperset(map(type, entries)):
+            return frozenset(entries)
+        entries = sorted(entries, key=repr)
+    return frozenset(int_entries(entries, what))
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: str
@@ -69,7 +80,7 @@ class Vertex:
     base_c1_log: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stratum", frozenset(self.stratum))
+        object.__setattr__(self, "stratum", int_set(self.stratum, f"vertex {self.id!r} stratum"))
         cover, base = self.cover_degree, self.base_c1_log  # None when absent, checked as 0
         int_entries((self.genus, self.c1_log, 0 if cover is None else cover, 0 if base is None else base),
                     f"vertex {self.id!r}", ("genus", "c1_log", "cover_degree", "base_c1_log"))
@@ -99,7 +110,7 @@ class Edge:
 
     def __post_init__(self):
         object.__setattr__(self, "ends", tuple(self.ends))
-        object.__setattr__(self, "stratum", frozenset(self.stratum))
+        object.__setattr__(self, "stratum", int_set(self.stratum, f"edge {self.id!r} stratum"))
         if self.contact is not None:
             object.__setattr__(self, "contact", int_entries(self.contact, f"edge {self.id!r} contact"))
         if self.contacts is not None:

@@ -29,8 +29,13 @@ class Characters:
     index: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", int_rows(self.rows, "character"))
-        object.__setattr__(self, "index", tuple(self.index))
+        rows, index = int_rows(self.rows, "character"), tuple(self.index)
+        for row in rows:
+            if len(row) != len(index):
+                raise StructuralError(
+                    f"character row length {len(row)} != node coordinate count {len(index)}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "index", index)
 
     @property
     def t_index(self) -> tuple:

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 from . import intlinalg as il
 from .errors import InputError, MissingEtaError, StructuralError
-from .graphs import GHOST, DecoratedDualGraph, Edge, Vertex, _components, require_valid
+from .graphs import GHOST, DecoratedDualGraph, Edge, Vertex, _components, int_set, require_valid
 from .lattice import Characters, build_rho, multinode_character_pullback, node_index
 from .qi import GaussianRational
 from .sections import CurveData, RationalSection, build_section, leading_coefficient
@@ -212,7 +212,7 @@ class GhostConfig:
     legs: tuple = ()  # (position, contact)
 
     def __post_init__(self):
-        object.__setattr__(self, "stratum", frozenset(self.stratum))
+        object.__setattr__(self, "stratum", int_set(self.stratum, "ghost config stratum"))
 
 
 @dataclass(frozen=True)

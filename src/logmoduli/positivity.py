@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
 from .errors import InputError, StructuralError
-from .graphs import int_entries
+from .graphs import int_entries, int_set
 
 Multiplicity = Union[str, Tuple[int, ...]]
 
@@ -30,7 +30,7 @@ class CurveFamily:
     delta: Union[int, tuple, None] = None  # int, or ("linear", w) for m*w
 
     def __post_init__(self):
-        object.__setattr__(self, "stratum", frozenset(self.stratum))
+        object.__setattr__(self, "stratum", int_set(self.stratum, f"family {self.label!r} stratum"))
         int_entries((self.c1_tx,), f"family {self.label!r}", ("c1_tx",))
         object.__setattr__(self, "dot", int_entries(self.dot, f"family {self.label!r} dot"))
         if self.multiplicity != "all":

@@ -226,15 +226,8 @@ def character_rows(rows):
 
 
 def characters_on(graph: DecoratedDualGraph, rows) -> Characters:
-    """Character rows on the graph's node coordinates, lengths checked."""
-    index = node_index(graph)
-    rows = character_rows(rows)
-    for row in rows:
-        if len(row) != len(index):
-            raise StructuralError(
-                f"character row length {len(row)} != node coordinate count {len(index)}"
-            )
-    return Characters(rows, index)
+    """Character rows on the graph's node coordinates."""
+    return Characters(character_rows(rows), node_index(graph))
 
 
 def parse_profile(payload: dict) -> GeometryProfile:
@@ -264,6 +257,20 @@ def parse_profile(payload: dict) -> GeometryProfile:
                            tuple(fams))
 
 
+def _record(value) -> dict:
+    """A graph record's fields that are not None, as JSON values: a
+    frozenset sorted, a tuple and each tuple in it a list."""
+    item = {}
+    for key, x in vars(value).items():
+        if type(x) is frozenset:
+            item[key] = sorted(x)
+        elif type(x) is tuple:
+            item[key] = [list(r) if type(r) is tuple else r for r in x]
+        elif x is not None:
+            item[key] = x
+    return item
+
+
 def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = None,
                        profile: Optional[dict] = None, characters=None,
                        expect: Optional[dict] = None) -> dict:
@@ -272,36 +279,12 @@ def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = No
         "schema_version": SCHEMA_VERSION,
         "N": graph.N,
         "n": graph.n,
-        "vertices": [],
+        "vertices": [_record(v) for v in graph.vertices],
         "edges": [],
         "legs": [],
     }
-    for v in graph.vertices:
-        item = {
-            "id": v.id,
-            "genus": v.genus,
-            "stratum": sorted(v.stratum),
-            "c1_log": v.c1_log,
-            "degrees": list(v.degrees),
-            "kind": v.kind,
-        }
-        if v.image_label is not None:
-            item["image_label"] = v.image_label
-        if v.cover_degree is not None:
-            item["cover_degree"] = v.cover_degree
-        if v.base_degrees is not None:
-            item["base_degrees"] = list(v.base_degrees)
-        if v.base_c1_log is not None:
-            item["base_c1_log"] = v.base_c1_log
-        doc["vertices"].append(item)
     for e in graph.edges:
-        item = {"id": e.id, "ends": list(e.ends), "stratum": sorted(e.stratum)}
-        if e.contact is not None:
-            item["contact"] = list(e.contact)
-        if e.contacts is not None:
-            item["contacts"] = [list(c) for c in e.contacts]
-        if e.into is not None:
-            item["into"] = list(e.into)
+        item = _record(e)
         if e.image_labels is not None:
             item["image_labels"] = {
                 str(i): lab for i, lab in enumerate(e.image_labels) if lab is not None
@@ -321,14 +304,10 @@ def serialize_document(graph: DecoratedDualGraph, data: Optional[CurveData] = No
             item["eta"] = per_end
         doc["edges"].append(item)
     for l in graph.legs:
-        item = {"id": l.id, "vertex": l.vertex, "contact": list(l.contact)}
+        item = _record(l)
         pos = data.leg_positions.get(l.id)
         if pos is not None:
             item["position"] = str(pos)
-        elif l.position is not None:
-            item["position"] = l.position
-        if l.image_label is not None:
-            item["image_label"] = l.image_label
         doc["legs"].append(item)
     if data.sections:
         doc["sections"] = {

@@ -306,6 +306,24 @@ def test_report_names_a_bad_characters_file(tmp_path):
     assert "field 'characters' must be a list" in json.loads(proc.stdout)["error"]
 
 
+@pytest.mark.parametrize("text, error", [
+    ("not json", "invalid JSON in characters file: Expecting value: line 1 column 1 (char 0)"),
+    ('{"characters": []}', "characters file carries no characters"),
+    ("[]", "characters file carries no characters"),
+    ("{}", "characters file carries no characters"),
+], ids=["text", "empty-list", "bare-empty-list", "no-key"])
+def test_ob_and_report_refuse_a_characters_file_without_characters(tmp_path, text, error):
+    chars = tmp_path / "characters.json"
+    chars.write_text(text)
+    for command in ("ob", "report"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main([command, fixture("good_ex2.json"), "--characters", str(chars)])
+        assert code == cli.EXIT_INPUT == 2, command
+        assert json.loads(out.getvalue()) == {
+            "command": command, "input": fixture("good_ex2.json"), "error": error}
+
+
 def test_report_drops_ob_when_the_characters_do_not_fit():
     # rows of the wrong length mean ob does not apply to this graph
     out = io.StringIO()
@@ -772,6 +790,35 @@ def test_cli_sweep_matches_the_recorded_digest(monkeypatch):
         codes[code] = codes.get(code, 0) + 1
     assert codes == SWEEP_CODES
     assert digest.hexdigest()[:16] == SWEEP_DIGEST
+
+
+# the sweep applies one flag set at a time, so it prints no cone and no
+# --characters values as a table; recorded at 8854aca
+TABLE_FLAGS = (
+    ("--cone", "--format", "table"),
+    ("--characters", "src/logmoduli/fixtures/characters_good_ex2.json", "--format", "table"),
+)
+TABLE_DIGEST = "3649415d82309dc8"
+TABLE_CODES = {0: 172, 1: 10, 2: 88}
+
+
+def test_cone_and_characters_tables_match_the_recorded_digest(monkeypatch):
+    """Every command on every fixture under each of TABLE_FLAGS, run in
+    process from the repository root, digested as the sweep is."""
+    monkeypatch.chdir(ROOT)
+    names = sorted(os.listdir(os.path.join(ROOT, "src", "logmoduli", "fixtures")))
+    digest, codes = hashlib.sha256(), {}
+    for command in sorted(cli._COMMANDS):
+        for name in names:
+            for flags in TABLE_FLAGS:
+                argv = [command, f"src/logmoduli/fixtures/{name}", *flags]
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main(argv)
+                digest.update(json.dumps([argv, code, out.getvalue()]).encode())
+                codes[code] = codes.get(code, 0) + 1
+    assert codes == TABLE_CODES
+    assert digest.hexdigest()[:16] == TABLE_DIGEST
 
 
 # -- the canonical writer against json --------------------------------------------

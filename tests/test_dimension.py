@@ -49,6 +49,13 @@ def test_two_line_ghost_stratum_dim_is_d_log_minus_one():
     assert lm.stratum_dim(g) == lm.expected_dim_log(c1, g.n, 0, 2) - 1
 
 
+def test_stratum_dim_refuses_a_multinode_graph():
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    collapsed = lm.collapse_ghost(g, data, "v0")[0]
+    with pytest.raises(InputError, match="^stratum_dim expects a graph without multi-nodes$"):
+        lm.stratum_dim(collapsed)
+
+
 def test_stratum_dim_two_routes_agree_randomized(rng):
     count = 0
     while count < 200:

@@ -113,10 +113,43 @@ def test_constructors_refuse_a_scalar_where_integer_entries_go():
         ("edge 'm' contacts", rows, [3], lambda: lm.Edge("m", ("a", "b", "c"), contacts=[3])),
         ("matrix", rows, 5, lambda: lm.LatticeMap(5, ["a"], ["x"])),
         ("character", rows, 5, lambda: lm.Characters(5, ["a"])),
+        ("vertex 'a' stratum", entries, 5, lambda: lm.Vertex("a", stratum=5)),
+        ("edge 'e' stratum", entries, 5, lambda: lm.Edge("e", ("a", "b"), stratum=5)),
+        ("family 'f' stratum", entries, 5, lambda: lm.CurveFamily("f", 5, 4, [1])),
+        ("ghost config stratum", entries, 5, lambda: lm.GhostConfig(1, 5, ())),
     ]
     for what, kind, value, build in cases:
         with pytest.raises(StructuralError, match=re.escape(f"{what} must be {kind}, got {value!r}")):
             build()
+
+
+def test_every_stratum_refuses_an_entry_that_is_not_an_integer():
+    builds = [
+        ("vertex 'a' stratum", lambda s: lm.Vertex("a", stratum=s)),
+        ("edge 'e' stratum", lambda s: lm.Edge("e", ("a", "b"), stratum=s)),
+        ("family 'f' stratum", lambda s: lm.CurveFamily("f", s, 4, [1])),
+        ("ghost config stratum", lambda s: lm.GhostConfig(1, s, ())),
+    ]
+    for what, build in builds:
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"{what} entry 'x' at position 0 is not an integer")):
+            build(["x"])
+        # not rounded, so never reported as a coordinate outside [1..N]
+        with pytest.raises(StructuralError,
+                           match=re.escape(f"{what} entry 1.5 at position 1 is not an integer")):
+            build([1, 1.5])
+        assert build([2, 1, 2]).stratum == frozenset({1, 2})
+
+
+def test_a_stratum_names_the_same_bad_entry_of_a_pool_of_strings_under_every_hash_order():
+    # a set is read in the order of its entries' reprs, not in hash order,
+    # which for strings changes with PYTHONHASHSEED
+    bad = {f"s{k}" for k in range(20)} | {1, 2.5}
+    for build in (lambda s: lm.Vertex("a", stratum=s),
+                  lambda s: lm.Edge("e", ("a", "b"), stratum=s)):
+        for stratum in (bad, frozenset(bad)):
+            with pytest.raises(StructuralError, match=r"stratum entry 's0' at position 0 is not"):
+                build(stratum)
 
 
 def test_graph_refuses_non_integer_N_and_n():

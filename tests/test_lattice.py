@@ -176,6 +176,23 @@ def test_lattice_map_and_characters_refuse_an_entry_that_is_not_an_int(rows, nam
     assert lm.Characters(ints, ["a", "b"]).rows == tuple(map(tuple, ints))
 
 
+def test_characters_refuse_a_row_that_does_not_fit_their_index():
+    with pytest.raises(StructuralError, match=re.escape(
+            "character row length 3 != node coordinate count 1")):
+        lm.Characters([[1, 2, 5]], [("e", 1)])
+    with pytest.raises(StructuralError, match=re.escape(
+            "character row length 1 != node coordinate count 2")):
+        lm.Characters([[1, -1], [1]], ["a", "b"])
+    # good_ex1's characters act on its six node coordinates
+    with open(os.path.join(os.path.dirname(schema.__file__), "fixtures", "good_ex1.json")) as fh:
+        graph, data, _, characters, _ = schema.loads(fh.read())
+    assert len(characters.index) == 6
+    lm.compute_ob(graph, data, lm.Characters(characters.rows, characters.index))
+    with pytest.raises(StructuralError, match=re.escape(
+            "character row length 7 != node coordinate count 6")):
+        lm.Characters([[*row, 0] for row in characters.rows], characters.index)
+
+
 def _with_loops(graph):
     """The graph with two loops at its vertex of largest stratum: one of
     contact 0, whose rows are zero, and one of contact 1 there."""
@@ -432,6 +449,18 @@ def test_multinode_stratum_mismatch_rejected():
     g = lm.DecoratedDualGraph(2, 2, [verts[1], verts[2]], [mn], [])
     with pytest.raises(InputError):
         lm.build_rho_multinode(g)
+
+
+def test_build_rho_refuses_a_branch_vertex_outside_the_multinode_stratum():
+    # valid with multi-nodes allowed: every contact entry outside I_m is 0
+    verts = [lm.Vertex("a", 0, {1, 2}, 0, (0, 0)), lm.Vertex("b", 0, (), 0, (0, 0)),
+             lm.Vertex("c", 0, (), 0, (0, 0))]
+    mn = lm.Edge("m", ("a", "b", "c"), {1}, contacts=((0, 0),) * 3)
+    g = lm.DecoratedDualGraph(2, 2, verts, [mn], [])
+    assert lm.validate_graph(g, multinode_allowed=True).valid
+    with pytest.raises(StructuralError,
+                       match="^multi-node 'm': branch vertex stratum exceeds I_m$"):
+        lm.build_rho(g)
 
 
 def test_build_rho_multinode_is_build_rho():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import logmoduli as lm
 from logmoduli import intlinalg as il
 from logmoduli import obstruction
-from logmoduli.errors import InputError, MissingEtaError
+from logmoduli.errors import InputError, MissingEtaError, StructuralError
 from logmoduli.qi import GaussianRational as Q
 from logmoduli.sections import P1Point, build_section
 from conftest import (
@@ -445,6 +446,51 @@ def test_collapse_homomorphism_keeps_image_labels():
 def test_collapse_homomorphism_rejects_a_disconnected_ghost_set():
     with pytest.raises(InputError, match="ghost tree is not connected"):
         lm.collapse_homomorphism(two_ghost_clusters(), ["g1", "g3"])
+
+
+def _with(graph, vertices=(), edges=(), drop=()):
+    """The graph with the given vertices and edges added or replacing those
+    of the same id, and the ids in `drop` removed."""
+    vs = {v.id: v for v in graph.vertices if v.id not in drop}
+    vs.update((v.id, v) for v in vertices)
+    es = {e.id: e for e in graph.edges if e.id not in drop}
+    es.update((e.id, e) for e in edges)
+    legs = [l for l in graph.legs if l.vertex in vs]
+    return lm.DecoratedDualGraph(graph.N, graph.n, vs.values(), es.values(), legs)
+
+
+def test_collapse_ghost_refuses_what_it_cannot_collapse():
+    g, data = two_line_ghost(1, 2, 3, 4, 5)
+    loop = lm.Edge("e0", ("v0", "v0"), {1, 2}, contact=(0, 0))
+    multinode = lm.Edge("e0", ("v0", "v1", "v2"), {1, 2}, contacts=((0, 0),) * 3)
+    cases = [
+        (InputError, "vertex 'v1' is not a ghost", g, data, "v1"),
+        (InputError, "cannot collapse a ghost attached to a multi-node",
+         _with(g, edges=[multinode]), data, "v0"),
+        (InputError, "cannot collapse a ghost with a loop", _with(g, edges=[loop]), data, "v0"),
+        (InputError, "edge 'e2' stratum differs from the ghost stratum; collapse undefined",
+         _with(g, edges=[lm.Edge("e2", ("v0", "v2"), {1}, contact=(-1, 0))]), data, "v0"),
+        (InputError, "ghost collapse needs at least two branches",
+         _with(g, drop=("e2", "e3", "v2", "v3")), data, "v0"),
+        (StructuralError, "missing ghost-side position on edge 'e1'", g, lm.CurveData(), "v0"),
+    ]
+    for error, message, graph, curve, ghost in cases:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            lm.collapse_ghost(graph, curve, ghost)
+
+
+def test_collapse_homomorphism_refuses_a_set_that_is_no_ghost_tree():
+    g = two_ghost_clusters()
+    bare = lm.Vertex("g2", 0, (), 0, (0,), "ghost")
+    loop = lm.Edge("l", ("g3", "g3"), {1}, contact=(0,))
+    cases = [
+        ("empty ghost tree", g, []),
+        ("ghost tree must have a common stratum", _with(g, vertices=[bare]), ["g1", "g2"]),
+        ("ghost sub-graph is not a tree", _with(g, edges=[loop]), ["g3"]),
+    ]
+    for message, graph, tree in cases:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            lm.collapse_homomorphism(graph, tree)
 
 
 def test_a_character_off_a_multinode_diagonal_is_refused_naming_the_first_node():

@@ -125,6 +125,34 @@ def test_adjacent_equal_image_tree_contracts_without_genus_change():
     assert merged and set(merged[0].origins) == {"b1", "b2"}
 
 
+def test_rt_refuses_to_merge_points_or_components_of_different_strata():
+    ghosts = lm.DecoratedDualGraph(1, 2, [
+        lm.Vertex("p", 0, (), 1, (0,), "principal"),
+        lm.Vertex("g1", 0, {1}, 0, (0,), "ghost"),
+        lm.Vertex("g2", 0, (), 0, (0,), "ghost"),
+    ], [lm.Edge("a", ("p", "g1"), {1}), lm.Edge("t", ("g1", "g2"), {1})], [])
+    # a double cover whose two nodes share an image label but not a stratum
+    cover = lm.DecoratedDualGraph(1, 2, [
+        lm.Vertex("c", 0, (), 2, (0,), "bubble", cover_degree=2, base_c1_log=1),
+        lm.Vertex("p1", 0, {1}, 1, (0,), "principal"),
+        lm.Vertex("p2", 0, (), 1, (0,), "principal"),
+    ], [lm.Edge("n1", ("c", "p1"), {1}, image_labels=("x", None)),
+        lm.Edge("n2", ("c", "p2"), (), image_labels=("x", None))], [])
+    # adjacent bubbles with one image label but different strata
+    bubbles = lm.DecoratedDualGraph(1, 2, [
+        lm.Vertex("a", 0, {1}, 1, (0,), "bubble", image_label="L"),
+        lm.Vertex("b", 0, (), 1, (0,), "bubble", image_label="L"),
+    ], [lm.Edge("n", ("a", "b"), {1})], [])
+    cases = [
+        (ghosts, "ghost cluster strata are inconsistent"),
+        (cover, "merging nodes with different strata at label 'x'"),
+        (bubbles, "cannot identify components with different strata"),
+    ]
+    for graph, message in cases:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            lm.rt_reduce(lm.MapModel(graph))
+
+
 def test_multiplicity_conservation_and_edge_invariant_randomized(rng):
     checked = 0
     while checked < 100:

@@ -59,6 +59,12 @@ def test_section_degree_and_orders_must_be_integers():
         RationalSection(1, Q(1), [(pt(0), 0), (INF, 0)])
 
 
+def test_a_section_of_scale_zero_is_refused():
+    for scale in (0, Q(0)):
+        with pytest.raises(InputError, match="^section scale must be nonzero$"):
+            RationalSection(1, scale, [(pt(0), 1)])
+
+
 def test_leading_coefficient_simple_pole():
     # zeta = beta/(z(z-1)(z-alpha)) at 0: order -1, eta = beta/alpha
     rng = random.Random(11)
@@ -123,6 +129,9 @@ def test_order_vector_reads_sections_and_tangencies():
         order_vector(3, {1, 2}, secs, pt(0), tangency={3: -1})
     with pytest.raises(StructuralError, match="tangency entry 1.9 at coordinate 3"):
         order_vector(3, {1, 2}, secs, pt(0), tangency={3: 1.9})
+    # a stratum coordinate is read off its section, so it needs one
+    with pytest.raises(StructuralError, match="^missing section for coordinate 2$"):
+        order_vector(3, {1, 2}, {1: secs[1]}, pt(0))
 
 
 def test_order_vector_three_hyperplane_ghost():
